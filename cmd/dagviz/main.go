@@ -81,7 +81,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		it := interpret.New(proto, r.N(), r.F(), nil)
+		it := interpret.New(proto, r.N(), r.F(), nil, interpret.WithInBufferRecording())
 		if err := it.InterpretDAG(d); err != nil {
 			return err
 		}

@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"blockdag/internal/cluster"
+	"blockdag/internal/interpret"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/trace"
 	"blockdag/internal/types"
@@ -72,10 +73,14 @@ func run() error {
 	fmt.Printf("\nnetwork: %d block/FWD sends, %d bytes\n", wireMsgs, wireBytes)
 	fmt.Printf("interpretation: %d protocol messages materialized, 0 sent\n\n", simulated)
 
-	// Reproduce Figure 4: the per-block message buffers for ℓ1, read
-	// from s0's interpreter.
+	// Reproduce Figure 4: the per-block message buffers for ℓ1. Live
+	// servers keep no in-buffers, so replay s0's DAG offline through an
+	// interpreter that records them (Lemma 4.2: same states).
 	srv := c.Servers[0]
-	it := srv.Interpreter()
+	it := interpret.New(brb.Protocol{}, c.Roster.N(), c.Roster.F(), nil, interpret.WithInBufferRecording())
+	if err := it.InterpretDAG(srv.DAG()); err != nil {
+		return err
+	}
 	fmt.Println("figure 4 — message buffers for ℓ1 at each block of s0's DAG:")
 	for _, b := range srv.DAG().Blocks() {
 		in := it.InMessages(b.Ref(), "ℓ1")

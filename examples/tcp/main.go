@@ -403,12 +403,13 @@ func (s *server) boot(opts runOpts) error {
 		})
 		s.mu.Unlock()
 	}
-	s.gossip.Bind(nd)
 	s.nd = nd
 	s.ndRef.Store(nd)
 	if err := nd.Start(); err != nil {
 		return err
 	}
+	// Bind only once the loop runs (see transport.LateBound.Bind).
+	s.gossip.Bind(nd)
 	return s.openGateway(opts, ccfg.Mempool)
 }
 

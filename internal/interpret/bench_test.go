@@ -28,7 +28,7 @@ func BenchmarkInterpretPerBlock(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := New(brb.Protocol{}, 4, 1, nil, WithoutInBufferRecording())
+		it := New(brb.Protocol{}, 4, 1, nil)
 		for _, blk := range blocks {
 			if err := it.AddBlock(blk); err != nil {
 				b.Fatal(err)
@@ -57,7 +57,7 @@ func BenchmarkInterpretManyLabels(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				it := New(brb.Protocol{}, 4, 1, nil, WithoutInBufferRecording())
+				it := New(brb.Protocol{}, 4, 1, nil)
 				for _, blk := range blocks {
 					if err := it.AddBlock(blk); err != nil {
 						b.Fatal(err)
@@ -77,7 +77,7 @@ func BenchmarkImplicitVsExplicit(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				opts := []Option{WithoutInBufferRecording()}
+				var opts []Option
 				if mode == "implicit" {
 					opts = append(opts, WithImplicitInclusion())
 				}
@@ -103,8 +103,7 @@ func BenchmarkImplicitDeep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				it := New(brb.Protocol{}, 4, 1, nil,
-					WithoutInBufferRecording(), WithImplicitInclusion())
+				it := New(brb.Protocol{}, 4, 1, nil, WithImplicitInclusion())
 				if err := it.InterpretDAG(h.DAG); err != nil {
 					b.Fatal(err)
 				}

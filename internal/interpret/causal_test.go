@@ -9,6 +9,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/dag"
 	"blockdag/internal/dagtest"
+	"blockdag/internal/protocol"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/types"
 )
@@ -93,7 +94,7 @@ func agreeOn(t *testing.T, d *dag.DAG, labels []types.Label, a, b *Interpreter, 
 					ctx, ref, label, len(m1), len(m2))
 			}
 			for i := range m1 {
-				if m1[i].Key() != m2[i].Key() {
+				if protocol.Compare(m1[i], m2[i]) != 0 {
 					t.Fatalf("%s: out-buffer of %v / %s differs at %d",
 						ctx, ref, label, i)
 				}

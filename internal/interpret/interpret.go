@@ -27,7 +27,8 @@ package interpret
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
@@ -69,11 +70,12 @@ func WithRetirement() Option {
 	return func(it *Interpreter) { it.retire = true }
 }
 
-// WithoutInBufferRecording stops retaining per-block in-buffers, which are
-// needed only for inspection (tests, figures, the dagviz tool). Out-buffers
-// are always retained: they are load-bearing — future blocks read them.
-func WithoutInBufferRecording() Option {
-	return func(it *Interpreter) { it.recordIn = false }
+// WithInBufferRecording retains each block's in-buffers so InMessages can
+// return them. They are needed only for inspection (tests, figures, the
+// dagviz tool), so recording is off by default. Out-buffers are always
+// retained: they are load-bearing — future blocks read them.
+func WithInBufferRecording() Option {
+	return func(it *Interpreter) { it.recordIn = true }
 }
 
 // WithImplicitInclusion switches message collection to the paper's
@@ -114,7 +116,7 @@ type blockState struct {
 	out map[types.Label][]protocol.Message
 
 	// in is B.Ms[in, ℓ]: messages received at this block in <M order.
-	// Retained only for inspection (recordIn).
+	// Retained only for inspection (WithInBufferRecording).
 	in map[types.Label][]protocol.Message
 
 	// coveredSeq (implicit-inclusion mode only) is the consumption
@@ -161,6 +163,10 @@ type Interpreter struct {
 
 	states map[block.Ref]*blockState
 
+	// inbox is AddBlock's in-message scratch buffer, reused across
+	// blocks unless recordIn keeps each block's in-buffer.
+	inbox []protocol.Message
+
 	// slots and anyFork (implicit-inclusion mode only) back the
 	// uncoveredAncestry fast path: slots finds a builder's block by
 	// sequence number; anyFork latches once two interpreted blocks
@@ -178,12 +184,11 @@ type Interpreter struct {
 // (Algorithm 3 line 8).
 func New(proto protocol.Protocol, n, f int, onInd func(Indication), opts ...Option) *Interpreter {
 	it := &Interpreter{
-		proto:    proto,
-		n:        n,
-		f:        f,
-		onInd:    onInd,
-		recordIn: true,
-		states:   make(map[block.Ref]*blockState),
+		proto:  proto,
+		n:      n,
+		f:      f,
+		onInd:  onInd,
+		states: make(map[block.Ref]*blockState),
 	}
 	for _, opt := range opts {
 		opt(it)
@@ -312,43 +317,38 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 	// Lines 7–9: collect B.Ms[in, ℓ] — messages addressed to B.n in the
 	// out-buffers of the source blocks: the direct predecessors
 	// (explicit mode), or the whole not-yet-consumed ancestry
-	// (implicit-inclusion mode). The paper's in-buffer is a set:
-	// identical messages materialized via two predecessors (e.g. across
-	// an equivocator's forks) collapse to one.
+	// (implicit-inclusion mode).
 	sources := preds
 	if it.implicit {
 		sources = it.uncoveredAncestry(st, preds, parent)
 		st.coveredSeq = advanceWatermark(parent, sources)
 	}
-	var inbox map[types.Label]map[string]protocol.Message
+	inbox := it.inbox[:0]
 	for _, ps := range sources {
-		for label, msgs := range ps.out {
+		for _, msgs := range ps.out {
 			for _, m := range msgs {
-				if m.Receiver != b.Builder {
-					continue
+				if m.Receiver == b.Builder {
+					inbox = append(inbox, m)
 				}
-				if inbox == nil {
-					inbox = make(map[types.Label]map[string]protocol.Message)
-				}
-				set := inbox[label]
-				if set == nil {
-					set = make(map[string]protocol.Message)
-					inbox[label] = set
-				}
-				set[m.Key()] = m
 			}
 		}
 	}
 
-	// Lines 10–11: feed in-messages to B.n's instances in <M order,
-	// label by label (labels are independent instances; sorted label
-	// order keeps the trace canonical).
-	for _, label := range sortedLabels(inbox) {
-		msgs := make([]protocol.Message, 0, len(inbox[label]))
-		for _, m := range inbox[label] {
-			msgs = append(msgs, m)
+	// Lines 10–11: feed in-messages to B.n's instances in <M order. <M
+	// sorts by label first, so each label's messages form one run. The
+	// paper's in-buffer is a set: identical messages materialized via two
+	// predecessors (e.g. across an equivocator's forks) sort next to each
+	// other and collapse to one.
+	protocol.Sort(inbox)
+	inbox = slices.CompactFunc(inbox, func(a, b protocol.Message) bool { return protocol.Compare(a, b) == 0 })
+	for rest := inbox; len(rest) > 0; {
+		label := rest[0].Label
+		n := 1
+		for n < len(rest) && rest[n].Label == label {
+			n++
 		}
-		protocol.Sort(msgs)
+		msgs := rest[:n]
+		rest = rest[n:]
 		if it.recordIn {
 			if st.in == nil {
 				st.in = make(map[types.Label][]protocol.Message)
@@ -363,10 +363,16 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 			it.emit(st, label, proc.Receive(m))
 		}
 	}
+	if !it.recordIn {
+		// Nothing retains the buffer: reuse it for the next block, its
+		// payload references dropped (CompactFunc zeroed the tail).
+		clear(inbox)
+		it.inbox = inbox[:0]
+	}
 
 	// Lines 13–14: surface indications from the instances advanced at
 	// this block, attributed to B.n.
-	for _, label := range sortedOwned(st) {
+	for _, label := range slices.Sorted(maps.Keys(st.pis)) {
 		proc := st.pis[label]
 		for _, value := range proc.Indications() {
 			it.metrics.AddIndications(1)
@@ -661,24 +667,6 @@ func dedupRefs(refs []block.Ref) []block.Ref {
 	return out
 }
 
-func sortedLabels(m map[types.Label]map[string]protocol.Message) []types.Label {
-	labels := make([]types.Label, 0, len(m))
-	for l := range m {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	return labels
-}
-
-func sortedOwned(st *blockState) []types.Label {
-	labels := make([]types.Label, 0, len(st.pis))
-	for l := range st.pis {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	return labels
-}
-
 // InterpretDAG interprets every block of d not yet interpreted, in d's
 // insertion order (a topological order). This is the offline path: a
 // stored DAG can be replayed at any time, independent of gossip. The DAG
@@ -701,8 +689,8 @@ func (it *Interpreter) OutMessages(ref block.Ref, label types.Label) []protocol.
 	return append([]protocol.Message(nil), st.out[label]...)
 }
 
-// InMessages returns B.Ms[in, ℓ] in <M order. It returns nil if in-buffer
-// recording was disabled.
+// InMessages returns B.Ms[in, ℓ] in <M order. It returns nil unless the
+// interpreter was built WithInBufferRecording.
 func (it *Interpreter) InMessages(ref block.Ref, label types.Label) []protocol.Message {
 	st, ok := it.states[ref]
 	if !ok || st.in == nil {
@@ -718,12 +706,7 @@ func (it *Interpreter) OutLabels(ref block.Ref) []types.Label {
 	if !ok {
 		return nil
 	}
-	labels := make([]types.Label, 0, len(st.out))
-	for l := range st.out {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	return labels
+	return slices.Sorted(maps.Keys(st.out))
 }
 
 // StateDigest returns the deterministic digest of B.PIs[ℓ] — the state of

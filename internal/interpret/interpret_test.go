@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"blockdag/internal/block"
@@ -51,7 +52,7 @@ func senders(msgs []protocol.Message) string {
 func TestFigure4(t *testing.T) {
 	h := dagtest.NewHarness(4)
 	onInd, inds := collectInds()
-	it := New(brb.Protocol{}, 4, 1, onInd)
+	it := New(brb.Protocol{}, 4, 1, onInd, WithInBufferRecording())
 
 	val := []byte("42")
 	round0 := h.Round(map[int][]block.Request{
@@ -597,27 +598,39 @@ func TestGenesisWithPredsInterprets(t *testing.T) {
 	}
 }
 
-func TestWithoutInBufferRecording(t *testing.T) {
+// TestInBufferRecordingOptIn: in-buffers are recorded only on request,
+// out-buffers always, and recording changes nothing else.
+func TestInBufferRecordingOptIn(t *testing.T) {
 	h := dagtest.NewHarness(4)
-	it := New(brb.Protocol{}, 4, 1, nil, WithoutInBufferRecording())
 	h.Round(map[int][]block.Request{0: {{Label: "ℓ", Data: []byte("v")}}})
 	h.Round(nil)
-	if err := it.InterpretDAG(h.DAG); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range h.DAG.Blocks() {
-		if got := it.InMessages(b.Ref(), "ℓ"); got != nil {
-			t.Fatalf("in-buffer recorded despite option: %v", got)
+	h.Round(nil)
+	plain := New(brb.Protocol{}, 4, 1, nil)
+	recording := New(brb.Protocol{}, 4, 1, nil, WithInBufferRecording())
+	for _, it := range []*Interpreter{plain, recording} {
+		if err := it.InterpretDAG(h.DAG); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Out-buffers are still live.
-	found := false
+	recorded, found := 0, false
 	for _, b := range h.DAG.Blocks() {
-		if len(it.OutMessages(b.Ref(), "ℓ")) > 0 {
-			found = true
+		if got := plain.InMessages(b.Ref(), "ℓ"); got != nil {
+			t.Fatalf("in-buffer recorded without the option: %v", got)
+		}
+		recorded += len(recording.InMessages(b.Ref(), "ℓ"))
+		// Out-buffers are live either way, and identical.
+		out := plain.OutMessages(b.Ref(), "ℓ")
+		found = found || len(out) > 0
+		if !slices.EqualFunc(out, recording.OutMessages(b.Ref(), "ℓ"), func(a, b protocol.Message) bool {
+			return protocol.Compare(a, b) == 0
+		}) {
+			t.Fatalf("out-buffer of %v depends on in-buffer recording", b.Ref())
 		}
 	}
 	if !found {
 		t.Fatal("no out-buffers materialized")
+	}
+	if recorded == 0 {
+		t.Fatal("no in-buffers recorded with the option")
 	}
 }

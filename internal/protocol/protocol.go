@@ -17,7 +17,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"blockdag/internal/types"
@@ -28,6 +28,11 @@ import (
 // (paper Section 2). The payload is the protocol's own canonical encoding.
 // In the embedding, messages are never transmitted: they are materialized
 // locally from DAG edges by the interpreter.
+//
+// Payloads are immutable: they are produced only by interpreter-run
+// processes, and neither the interpreter nor any process ever writes to
+// one after emitting it. Processes may therefore keep sub-slices of a
+// received payload, and re-emit its bytes, without copying.
 type Message struct {
 	Label    types.Label
 	Sender   types.ServerID
@@ -123,17 +128,8 @@ func compareUvarint(x, y uint64) int {
 // messages to process instances in this order (Algorithm 2 line 10) so
 // that every server executes exactly the same steps.
 func Sort(msgs []Message) {
-	sort.Slice(msgs, func(i, j int) bool { return Compare(msgs[i], msgs[j]) < 0 })
+	slices.SortFunc(msgs, Compare)
 }
-
-// Key returns a map key identifying the message's full content. The
-// interpreter's in-buffers are sets (Algorithm 2 line 9); identical
-// messages materialized from equivocating forks collapse to one entry.
-// Key serializes (once per message at in-buffer admission — unlike
-// Compare, which runs O(n log n) times per sort and is field-wise); a
-// cached key has nowhere to live on a value type, and the map insert
-// needs the string anyway.
-func (m Message) Key() string { return string(m.Encode()) }
 
 // Config parameterizes one process instance of P: which server it
 // simulates, for which instance label, and the system size. Quorum sizes

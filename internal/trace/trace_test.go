@@ -14,7 +14,7 @@ import (
 func figure4Harness(t *testing.T) (*dagtest.Harness, *interpret.Interpreter) {
 	t.Helper()
 	h := dagtest.NewHarness(4)
-	it := interpret.New(brb.Protocol{}, 4, 1, nil)
+	it := interpret.New(brb.Protocol{}, 4, 1, nil, interpret.WithInBufferRecording())
 	h.Round(map[int][]block.Request{0: {{Label: "ℓ1", Data: []byte("42")}}})
 	for r := 0; r < 3; r++ {
 		h.Round(nil)
@@ -101,7 +101,7 @@ func TestDumpRoundTrip(t *testing.T) {
 		t.Fatal("round-tripped DAG differs")
 	}
 	// The reloaded DAG interprets identically.
-	it := interpret.New(brb.Protocol{}, 4, 1, nil)
+	it := interpret.New(brb.Protocol{}, 4, 1, nil, interpret.WithInBufferRecording())
 	if err := it.InterpretDAG(loaded); err != nil {
 		t.Fatal(err)
 	}

@@ -232,6 +232,12 @@ var _ Endpoint = (*LateBound)(nil)
 // drained, so a Deliver racing with Bind keeps buffering and cannot
 // overtake older frames mid-flush; the flush itself runs outside the lock
 // (an endpoint is free to call back into the LateBound).
+//
+// The flush calls ep.Deliver synchronously, so the target must already
+// be consuming: bind a node.Node only after its Start. Its Deliver feeds
+// a bounded inbound channel that only the running loop drains, and a
+// flush of more frames than the channel holds into a node not yet
+// started blocks forever.
 func (l *LateBound) Bind(ep Endpoint) {
 	l.mu.Lock()
 	if ep != nil {
