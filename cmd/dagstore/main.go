@@ -27,7 +27,6 @@ import (
 	"sort"
 
 	"blockdag/internal/crypto"
-	"blockdag/internal/dag"
 	"blockdag/internal/roster"
 	"blockdag/internal/state"
 	"blockdag/internal/store"
@@ -161,23 +160,11 @@ func inspect(dir string, roster *crypto.Roster, strict bool) error {
 		}
 	}
 
-	// Rebuild the DAG to summarize chains and expose equivocations.
-	// Open already verified every signature; InsertVerified keeps the
-	// structural checks without paying Ed25519 twice. A pruned store's
-	// blocks stand on its base table.
-	d := dag.New(roster)
-	if base := st.Base(); len(base) > 0 {
-		if err := d.SeedBase(base); err != nil {
-			return fmt.Errorf("seed base: %w", err)
-		}
-	}
-	for _, b := range st.Blocks() {
-		if err := d.InsertVerified(b); err != nil {
-			return fmt.Errorf("reinsert %v: %w", b.Ref(), err)
-		}
-	}
+	// Open revalidated every block into one DAG; summarize its chains
+	// and expose its equivocations.
+	d := st.TakeDAG()
 	builders := make(map[types.ServerID]int)
-	for _, b := range st.Blocks() {
+	for b := range d.All() {
 		builders[b.Builder]++
 	}
 	ids := make([]int, 0, len(builders))
@@ -212,29 +199,16 @@ func inspect(dir string, roster *crypto.Roster, strict bool) error {
 	return nil
 }
 
-// compact checkpoints the store onto its own recovered DAG, dropping all
-// history segments.
+// compact checkpoints the store onto its own recovered DAG (a pruned
+// store's base and sticky horizon included), dropping all history
+// segments.
 func compact(dir string, roster *crypto.Roster) error {
 	st, err := store.Open(dir, store.Options{Roster: roster})
 	if err != nil {
 		return err
 	}
 	defer func() { _ = st.Close() }()
-	d := dag.New(roster)
-	if base := st.Base(); len(base) > 0 {
-		// A pruned store's checkpoint re-journals the base table; the
-		// sticky horizon keeps pruned history pruned.
-		if err := d.SeedBase(base); err != nil {
-			return fmt.Errorf("seed base: %w", err)
-		}
-	}
-	for _, b := range st.Blocks() {
-		// Open already verified signatures (Definition 3.3).
-		if err := d.InsertVerified(b); err != nil {
-			return fmt.Errorf("reinsert %v: %w", b.Ref(), err)
-		}
-	}
-	stats, err := st.Checkpoint(d)
+	stats, err := st.Checkpoint(st.TakeDAG())
 	if err != nil {
 		return err
 	}

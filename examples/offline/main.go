@@ -98,11 +98,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	loaded := loadedStore.Blocks()
+	loaded := loadedStore.TakeDAG()
 	if err := loadedStore.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("reloaded and revalidated %d blocks (every signature re-checked)\n", len(loaded))
+	fmt.Printf("reloaded and revalidated %d blocks (every signature re-checked)\n", loaded.Len())
 
 	type delivery struct {
 		server types.ServerID
@@ -110,19 +110,14 @@ func run() error {
 		value  string
 	}
 	var replay []delivery
-	it, fresh, err := core.OfflineInterpreter(roster, brb.Protocol{},
+	it, _, err := core.OfflineInterpreter(roster, brb.Protocol{},
 		func(server types.ServerID, label types.Label, value []byte) {
 			replay = append(replay, delivery{server, label, string(value)})
 		})
 	if err != nil {
 		return err
 	}
-	for _, b := range loaded {
-		if err := fresh.Insert(b); err != nil {
-			return err
-		}
-	}
-	if err := it.InterpretDAG(fresh); err != nil {
+	if err := it.InterpretDAG(loaded); err != nil {
 		return err
 	}
 

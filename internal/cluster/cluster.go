@@ -19,6 +19,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/core"
 	"blockdag/internal/crypto"
+	"blockdag/internal/dag"
 	"blockdag/internal/evidence"
 	"blockdag/internal/gateway"
 	"blockdag/internal/gossip"
@@ -354,14 +355,7 @@ func New(opts Options) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: server %d: %w", i, err)
 		}
 		if st != nil {
-			// A pruned store stands on a base table: seed it before the
-			// replay so chains resume above the horizon.
-			if base := st.Base(); len(base) > 0 {
-				if err := srv.SeedBase(base); err != nil {
-					return nil, fmt.Errorf("cluster: server %d: %w", i, err)
-				}
-			}
-			if err := srv.Restore(st.Blocks()); err != nil {
+			if err := srv.Restore(st.TakeDAG()); err != nil {
 				return nil, fmt.Errorf("cluster: server %d: %w", i, err)
 			}
 			srv.SeedEvidence(st.Evidence())
@@ -725,11 +719,7 @@ func (c *Cluster) followDecide(slot int, srv *core.Server, peer types.ServerID, 
 		c.followFail(slot, peer, err)
 		return
 	}
-	pull, perr := syncsvc.DeltaIfBehind(c.Roster, srv.DAG(), nil, wms, 0)
-	if perr != nil {
-		c.followFail(slot, peer, perr)
-		return
-	}
+	pull := syncsvc.DeltaIfBehind(srv.DAG(), nil, wms, 0)
 	if pull == nil {
 		fs.inFlight = false // in sync with this peer; nothing to pull
 		return
@@ -869,10 +859,12 @@ func (c *Cluster) BannedEverywhere(id types.ServerID) bool {
 	return any
 }
 
-// RecoverServer restarts a crashed slot from persisted blocks: a fresh
-// core.Server is built, Restore replays the blocks (re-validating and
-// re-interpreting them), the gossip chain state resumes the old chain, and
-// the endpoint is re-registered. Replayed indications are appended to the
+// RecoverServer restarts a crashed slot from persisted blocks: the blocks
+// are admitted into a fresh DAG (dag.Admit validates each once; an
+// invalid block fails the recovery with its sentinel), a fresh
+// core.Server is built, Restore replays that DAG (re-interpreting it),
+// the gossip chain state resumes the old chain, and the endpoint is
+// re-registered. Replayed indications are appended to the
 // slot's indication record, so callers observe at-least-once delivery
 // across the crash.
 func (c *Cluster) RecoverServer(slot int, proto protocol.Protocol, stored []*block.Block) error {
@@ -892,7 +884,11 @@ func (c *Cluster) RecoverServerWith(slot int, proto protocol.Protocol, stored []
 	if c.opts.StoreDir != "" {
 		return fmt.Errorf("cluster: recover server %d: cluster has durable stores, use RecoverServerFromStore", slot)
 	}
-	return c.recoverServer(slot, proto, stored, compress, nil)
+	d := dag.New(c.Roster)
+	if _, err := d.Admit(stored); err != nil {
+		return fmt.Errorf("cluster: recover server %d: %w", slot, err)
+	}
+	return c.recoverServer(slot, proto, d, compress, nil)
 }
 
 // RecoverServerFromStore restarts a crashed slot from its on-disk store:
@@ -908,7 +904,7 @@ func (c *Cluster) RecoverServerFromStore(slot int, proto protocol.Protocol) erro
 	if err != nil {
 		return err
 	}
-	return c.recoverServer(slot, proto, st.Blocks(), c.opts.CompressReferences, st)
+	return c.recoverServer(slot, proto, st.TakeDAG(), c.opts.CompressReferences, st)
 }
 
 // RecoverServerViaSync restarts a crashed slot through bulk catch-up: the
@@ -932,12 +928,8 @@ func (c *Cluster) RecoverServerViaSync(slot int, proto protocol.Protocol, from i
 	if err != nil {
 		return err
 	}
-	seed := st.Blocks()
-	pull, err := syncsvc.NewPull(c.Roster, seed, 0)
-	if err != nil {
-		st.Abandon()
-		return fmt.Errorf("cluster: recover server %d via sync: %w", slot, err)
-	}
+	d := st.TakeDAG()
+	pull := syncsvc.NewPull(d, 0)
 	tr := c.Net.Transport(types.ServerID(slot))
 	cancel := tr.Call(types.ServerID(from), transport.ChanSync, pull.Request(), pull)
 	if !c.Net.RunUntil(pull.Done) {
@@ -950,23 +942,20 @@ func (c *Cluster) RecoverServerViaSync(slot int, proto protocol.Protocol, from i
 		st.Abandon()
 		return fmt.Errorf("cluster: recover server %d via sync from %d: %w", slot, from, perr)
 	}
-	for _, b := range fetched {
-		if err := st.Append(b); err != nil {
-			st.Abandon()
-			return fmt.Errorf("cluster: recover server %d via sync: journal: %w", slot, err)
-		}
+	if err := st.AppendBatch(fetched); err != nil {
+		st.Abandon()
+		return fmt.Errorf("cluster: recover server %d via sync: journal: %w", slot, err)
 	}
 	if err := st.Sync(); err != nil {
 		st.Abandon()
 		return fmt.Errorf("cluster: recover server %d via sync: %w", slot, err)
 	}
-	replay := append(append([]*block.Block(nil), seed...), fetched...)
-	return c.recoverServer(slot, proto, replay, c.opts.CompressReferences, st)
+	return c.recoverServer(slot, proto, d, c.opts.CompressReferences, st)
 }
 
-// recoverServer rebuilds one slot from persisted blocks, optionally
+// recoverServer rebuilds one slot from a validated DAG, optionally
 // resuming journaling on st.
-func (c *Cluster) recoverServer(slot int, proto protocol.Protocol, stored []*block.Block, compress bool, st *store.Store) error {
+func (c *Cluster) recoverServer(slot int, proto protocol.Protocol, d *dag.DAG, compress bool, st *store.Store) error {
 	id := types.ServerID(slot)
 	m := &metrics.Metrics{}
 	broker := c.newBroker(slot)
@@ -995,16 +984,7 @@ func (c *Cluster) recoverServer(slot int, proto protocol.Protocol, stored []*blo
 	if err != nil {
 		return fmt.Errorf("cluster: recover server %d: %w", slot, err)
 	}
-	if st != nil {
-		// A pruned store stands on a base table: seed it before the
-		// replay so chains resume above the horizon.
-		if base := st.Base(); len(base) > 0 {
-			if err := srv.SeedBase(base); err != nil {
-				return fmt.Errorf("cluster: recover server %d: %w", slot, err)
-			}
-		}
-	}
-	if err := srv.Restore(stored); err != nil {
+	if err := srv.Restore(d); err != nil {
 		return fmt.Errorf("cluster: recover server %d: %w", slot, err)
 	}
 	if st != nil {

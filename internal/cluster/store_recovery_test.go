@@ -127,7 +127,7 @@ func TestClusterRestartFromStore(t *testing.T) {
 		t.Fatalf("offline open recovered %d blocks, want %d", offline.Len(), s3dag.Len())
 	}
 	sawBefore := false
-	it, fresh, err := core.OfflineInterpreter(c.Roster, brb.Protocol{},
+	it, _, err := core.OfflineInterpreter(c.Roster, brb.Protocol{},
 		func(server types.ServerID, label types.Label, value []byte) {
 			if server == 3 && label == "before" && string(value) == "pre-crash" {
 				sawBefore = true
@@ -136,12 +136,7 @@ func TestClusterRestartFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range offline.Blocks() {
-		if err := fresh.Insert(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := it.InterpretDAG(fresh); err != nil {
+	if err := it.InterpretDAG(offline.TakeDAG()); err != nil {
 		t.Fatal(err)
 	}
 	if !sawBefore {

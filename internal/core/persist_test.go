@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"crypto/ed25519"
 	"errors"
 	"strings"
 	"testing"
@@ -103,33 +104,15 @@ func TestPersistFailureWithholdsBroadcast(t *testing.T) {
 	}
 }
 
-// TestRestoreFailureLeavesServerFresh: a restore rejected during
-// validation must not touch the server — same-server retry with repaired
-// input succeeds, and the persistence sink can still be installed.
+// TestRestoreFailureLeavesServerFresh: a restore refused because its DAG
+// was validated under a different roster must not touch the server —
+// same-server retry with a DAG validated under the server's own member
+// keys succeeds, and the persistence sink can still be installed.
 func TestRestoreFailureLeavesServerFresh(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := make([]*block.Block, 2)
-	var preds []block.Ref
-	for k := range good {
-		b := block.New(0, uint64(k), preds, nil)
-		if err := b.Seal(signers[0]); err != nil {
-			t.Fatal(err)
-		}
-		good[k] = b
-		preds = []block.Ref{b.Ref()}
-	}
-	// Tamper with the second block only: the first replays fine, so a
-	// non-atomic restore would leave it behind in the DAG.
-	enc := good[1].Encode()
-	enc[len(enc)-1] ^= 0xff
-	bad, err := block.Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	srv, err := core.NewServer(core.Config{
 		Roster:    roster,
 		Signer:    signers[0],
@@ -140,14 +123,36 @@ func TestRestoreFailureLeavesServerFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Restore([]*block.Block{good[0], bad}); err == nil {
-		t.Fatal("restore accepted a tampered block")
+
+	// A one-member roster with a different key: its blocks are valid
+	// under it, and prove nothing under the server's roster.
+	var seed [32]byte
+	copy(seed[:], "foreign roster seed")
+	pair := crypto.KeyPairFromSeed(seed)
+	foreignRoster, err := crypto.NewRoster([]ed25519.PublicKey{pair.Public})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreignSigner, err := crypto.NewSigner(0, pair, foreignRoster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := admittedChain(t, foreignRoster, foreignSigner, 2)
+	if err := srv.Restore(foreign); !errors.Is(err, core.ErrRosterMismatch) {
+		t.Fatalf("Restore(foreign-roster DAG) = %v, want core.ErrRosterMismatch", err)
 	}
 	if got := srv.DAG().Len(); got != 0 {
-		t.Fatalf("failed restore left %d blocks in the DAG", got)
+		t.Fatalf("refused restore left %d blocks in the DAG", got)
 	}
-	if err := srv.Restore(good); err != nil {
-		t.Fatalf("retry after failed restore: %v", err)
+
+	// The retry's DAG is validated under a distinct Roster value with the
+	// same member keys: membership, not identity, is what Restore checks.
+	sameKeys, _, err := crypto.LocalRoster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Restore(admittedChain(t, sameKeys, signers[0], 2)); err != nil {
+		t.Fatalf("retry after refused restore: %v", err)
 	}
 	if err := srv.SetPersist(func(*block.Block) error { return nil }); err != nil {
 		t.Fatalf("SetPersist after successful restore: %v", err)
@@ -157,16 +162,35 @@ func TestRestoreFailureLeavesServerFresh(t *testing.T) {
 	}
 }
 
-// TestRestoreBuilderUnknownSentinel: the batched restore path must keep
-// the serial insert path's error identity — a block whose builder is not
-// in the roster fails with dag.ErrBuilderUnknown (wrong-roster restore),
-// not dag.ErrBadSignature (corrupted log), so callers can distinguish
-// the two failures with errors.Is.
+// admittedChain seals an n-block chain on signer and admits it into a DAG
+// validated under roster.
+func admittedChain(t *testing.T, roster *crypto.Roster, signer *crypto.Signer, n int) *dag.DAG {
+	t.Helper()
+	d := dag.New(roster)
+	var preds []block.Ref
+	for k := 0; k < n; k++ {
+		b := block.New(signer.ID(), uint64(k), preds, nil)
+		if err := b.Seal(signer); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Admit([]*block.Block{b}); err != nil {
+			t.Fatal(err)
+		}
+		preds = []block.Ref{b.Ref()}
+	}
+	return d
+}
+
+// TestRestoreBuilderUnknownSentinel: a wrong-roster recovery must stay
+// distinguishable from a corrupted log. A block whose builder is outside
+// the roster is refused at admission with dag.ErrBuilderUnknown, not
+// dag.ErrBadSignature, and a DAG validated under a larger roster is
+// refused by Restore with core.ErrRosterMismatch.
 func TestRestoreBuilderUnknownSentinel(t *testing.T) {
-	// Seal a valid chain under a two-server roster, then restore it into
-	// a server whose roster only knows server 0: builder 1's signature
+	// Seal a valid block under a two-server roster; a server whose
+	// roster only knows server 0 must not take it: builder 1's signature
 	// is genuine, only the membership is wrong.
-	_, bigSigners, err := crypto.LocalRoster(2)
+	bigRoster, bigSigners, err := crypto.LocalRoster(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +203,14 @@ func TestRestoreBuilderUnknownSentinel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, err = dag.New(smallRoster).Admit([]*block.Block{foreign})
+	if !errors.Is(err, dag.ErrBuilderUnknown) {
+		t.Fatalf("Admit(foreign builder) = %v, want dag.ErrBuilderUnknown", err)
+	}
+	if errors.Is(err, dag.ErrBadSignature) {
+		t.Fatalf("Admit(foreign builder) misreported a bad signature: %v", err)
+	}
+
 	srv, err := core.NewServer(core.Config{
 		Roster:    smallRoster,
 		Signer:    smallSigners[0],
@@ -189,11 +221,15 @@ func TestRestoreBuilderUnknownSentinel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = srv.Restore([]*block.Block{foreign})
-	if !errors.Is(err, dag.ErrBuilderUnknown) {
-		t.Fatalf("Restore(foreign builder) = %v, want dag.ErrBuilderUnknown", err)
+	big := dag.New(bigRoster)
+	if _, err := big.Admit([]*block.Block{foreign}); err != nil {
+		t.Fatal(err)
+	}
+	err = srv.Restore(big)
+	if !errors.Is(err, core.ErrRosterMismatch) {
+		t.Fatalf("Restore(larger-roster DAG) = %v, want core.ErrRosterMismatch", err)
 	}
 	if errors.Is(err, dag.ErrBadSignature) {
-		t.Fatalf("Restore(foreign builder) misreported a bad signature: %v", err)
+		t.Fatalf("Restore(larger-roster DAG) misreported a bad signature: %v", err)
 	}
 }

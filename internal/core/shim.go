@@ -99,10 +99,9 @@ type Config struct {
 	Metrics *metrics.Metrics
 	// MaxBatch bounds requests per block (0 = gossip default).
 	MaxBatch int
-	// VerifyWorkers is the goroutine count for batched signature
-	// verification — DeliverBatch ingest and the Restore replay
-	// (0 = GOMAXPROCS, 1 = serial). Verdicts are independent of the
-	// setting.
+	// VerifyWorkers is the goroutine count for DeliverBatch's batched
+	// signature verification (0 = GOMAXPROCS, 1 = serial). Verdicts are
+	// independent of the setting.
 	VerifyWorkers int
 	// ResendAfter is the FWD retry interval (0 = gossip default).
 	ResendAfter time.Duration
@@ -419,16 +418,24 @@ func (s *Server) AddIndicationObserver(fn func(label types.Label, value []byte))
 	return nil
 }
 
-// Restore replays persisted blocks into a freshly constructed server —
-// the crash-recovery path of the paper's Section 7 discussion, fed by
-// package store's recovered log. Blocks are fully revalidated
-// (Definition 3.3), interpreted, and all of gossip's volatile state is
-// re-derived deterministically from the restored DAG (Gossip.Recover):
-// the next disseminated block continues the old chain and references
-// exactly the blocks no pre-crash block referenced, while the FWD/retry
-// bookkeeping restarts empty, so any block that was in flight (or lost
-// with an unsynced WAL tail) is simply re-received or re-requested from
-// peers.
+// ErrRosterMismatch reports a Restore whose DAG was validated under a
+// roster with different member keys than the server's: its blocks prove
+// nothing under this server's roster.
+var ErrRosterMismatch = errors.New("core: restore DAG validated under a different roster")
+
+// Restore replays a validated DAG into a freshly constructed server — the
+// crash-recovery path of the paper's Section 7 discussion, fed by package
+// store's recovered DAG (store.Store.TakeDAG), optionally extended by
+// startup catch-up (syncsvc.Fetch). The DAG's blocks were validated when
+// they were admitted to it (dag.Admit), so Restore re-runs only the
+// structural insert and the interpretation; no signature is verified
+// again. A pruned DAG's base stand-ins seed the server's DAG and
+// interpreter first. All of gossip's volatile state is re-derived
+// deterministically from the restored DAG (Gossip.Recover): the next
+// disseminated block continues the old chain and references exactly the
+// blocks no pre-crash block referenced, while the FWD/retry bookkeeping
+// restarts empty, so any block that was in flight (or lost with an
+// unsynced WAL tail) is simply re-received or re-requested from peers.
 //
 // No-self-equivocation has a precondition: the replayed blocks must
 // include every own block any peer may have seen, since the resumed
@@ -439,74 +446,37 @@ func (s *Server) AddIndicationObserver(fn func(label types.Label, value []byte))
 // tail, and those are refetched.
 //
 // Restore must be called on a fresh server, before any network traffic,
-// request, or dissemination; calling it later returns an error. The
-// blocks are validated in full before any server state is touched, so a
-// rejected restore leaves the server fresh and retryable. Blocks
-// replayed here do not pass through Config.OnPersist — they came from
-// the store — and store.Store.Append ignores re-journaled blocks anyway.
+// request, or dissemination; calling it later returns an error. A DAG
+// validated under a roster with different member keys is refused with
+// ErrRosterMismatch before any server state is touched, so the caller is
+// free to retry on the same server. Blocks replayed here do not pass
+// through Config.OnPersist — they came from the store — and
+// store.Store.Append ignores re-journaled blocks anyway.
 //
 // This is the authoritative statement of the recovery delivery contract:
 // interpretation replays all indications of the stored DAG, so users see
 // pre-crash deliveries again. Indications are therefore at-least-once
 // across crashes, exactly-once only between them; applications
 // deduplicate by instance label (as examples/payments does).
-// SeedBase installs pruned-history stand-ins (dag.SeedBase) into a
-// fresh server — both the DAG and the interpreter — so a later Restore
-// or snapshot-followed catch-up can validate and interpret blocks above
-// the prune horizon without the pruned prefix. It must run before
-// Restore and before any network traffic.
-func (s *Server) SeedBase(base []dag.Base) error {
+func (s *Server) Restore(d *dag.DAG) error {
 	if s.dag.Len() > 0 || len(s.dag.Base()) > 0 {
-		return errors.New("core: seed base on a server that already has state")
+		return errors.New("core: restore on a server that already has state")
 	}
-	if err := s.dag.SeedBase(base); err != nil {
-		return fmt.Errorf("core: %w", err)
+	if !d.Roster().SameMembers(s.cfg.Roster) {
+		return ErrRosterMismatch
 	}
-	if err := s.interp.SeedBase(base, s.dag.BaseHorizon()); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	return nil
-}
-
-func (s *Server) Restore(blocks []*block.Block) error {
-	if s.dag.Len() > 0 {
-		return errors.New("core: restore on a server that already has blocks")
-	}
-	// Validate the whole replay against a scratch DAG first, so a bad
-	// block (wrong roster, broken closure, bad signature) rejects the
-	// restore without touching the server: no partially populated DAG, no
-	// half-emitted indications, and the caller is free to retry on the
-	// same server with repaired input. The signatures — the expensive
-	// part of replaying a long log — are checked in one parallel batch;
-	// the structural checks then run serially in replay order via
-	// InsertVerified, so the first offending block is still reported
-	// deterministically.
-	sigOK := block.VerifyBatch(s.cfg.Roster, blocks, s.cfg.VerifyWorkers)
-	scratch := dag.New(s.cfg.Roster)
-	if err := scratch.SeedBase(s.dag.Base()); err != nil {
-		return fmt.Errorf("core: restore scratch seed: %w", err)
-	}
-	for i, b := range blocks {
-		if !s.cfg.Roster.Contains(b.Builder) {
-			// Report membership ahead of the signature verdict:
-			// VerifyBatch fails non-members too, but callers distinguish
-			// a wrong-roster restore (ErrBuilderUnknown) from a corrupted
-			// log (ErrBadSignature), matching the serial insert path.
-			return fmt.Errorf("core: restore block %v: %w: %v",
-				b.Ref(), dag.ErrBuilderUnknown, b.Builder)
+	if base := d.Base(); len(base) > 0 {
+		if err := s.dag.SeedBase(base); err != nil {
+			return fmt.Errorf("core: restore base: %w", err)
 		}
-		if !sigOK[i] {
-			return fmt.Errorf("core: restore block %v: %w", b.Ref(), dag.ErrBadSignature)
-		}
-		if err := scratch.InsertVerified(b); err != nil {
-			return fmt.Errorf("core: restore block %v: %w", b.Ref(), err)
+		if err := s.interp.SeedBase(base, s.dag.BaseHorizon()); err != nil {
+			return fmt.Errorf("core: restore base: %w", err)
 		}
 	}
-	for _, b := range blocks {
-		// InsertVerified: the scratch pass already paid the Ed25519
-		// verification; the structural checks of Definition 3.3 still
-		// run, and validation is deterministic, so an error here is an
-		// invariant break, not bad input.
+	for b := range d.All() {
+		// InsertVerified: d vouches for the signature; the structural
+		// checks still run, and since d holds the same blocks in a
+		// topological order, an error here is an invariant break.
 		if err := s.dag.InsertVerified(b); err != nil {
 			return fmt.Errorf("core: restore block %v: %w", b.Ref(), err)
 		}

@@ -165,6 +165,24 @@ func (r *Roster) PublicKey(id types.ServerID) (ed25519.PublicKey, bool) {
 	return r.keys[id], true
 }
 
+// SameMembers reports whether o names the same servers with the same
+// public keys, in the same order — whether a signature valid under one
+// roster is valid under the other. Counters are not compared.
+func (r *Roster) SameMembers(o *Roster) bool {
+	if r == o {
+		return true
+	}
+	if len(r.keys) != len(o.keys) {
+		return false
+	}
+	for i, k := range r.keys {
+		if !k.Equal(o.keys[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // IDs returns all server identities in roster order.
 func (r *Roster) IDs() []types.ServerID {
 	ids := make([]types.ServerID, len(r.keys))

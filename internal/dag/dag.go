@@ -7,6 +7,13 @@
 // DAG property, Lemma A.3/A.5), equivocation detection (Figure 3), and the
 // joint block DAG construction of Lemma A.7 used in tests of Lemma 3.7.
 //
+// Validity is inductive (Definition 3.3, Lemma A.5): only validated
+// blocks are ever inserted, so a *DAG vouches for every block it holds.
+// Admit is the one step that establishes validity for a batch of blocks
+// (batch signature check, then serial structural insert); layers hand a
+// validated *DAG to each other instead of raw block slices, and the
+// receiver never verifies those blocks again.
+//
 // # Causal summary invariant
 //
 // Every insert annotates the underlying graph vertex with the block's
@@ -422,6 +429,51 @@ func (d *DAG) insert(b *block.Block, checkSig bool) error {
 	return nil
 }
 
+// Admit is the one admission step for blocks whose validity is not yet
+// established — a recovered journal, a catch-up stream. It skips blocks already held, checks the signatures of the rest
+// in one parallel batch (block.VerifyBatch at GOMAXPROCS), then inserts
+// them serially in input order with the structural checks of
+// Definition 3.3. It stops at the first invalid block and returns the
+// serial path's sentinel (ErrBuilderUnknown, ErrBadSignature,
+// ErrMissingPreds, ErrParentRule, in that order of precedence); blocks
+// admitted before it stay admitted. admitted counts the blocks newly
+// inserted.
+//
+// Blocks must arrive predecessors first. Gossip, whose blocks arrive
+// before their predecessors, prechecks signatures on receipt instead and
+// inserts with InsertVerified once the predecessors are in.
+func (d *DAG) Admit(blocks []*block.Block) (admitted int, err error) {
+	verdict := make(map[block.Ref]bool, len(blocks))
+	var fresh []*block.Block
+	for _, b := range blocks {
+		if _, dup := verdict[b.Ref()]; dup || d.Contains(b.Ref()) || !d.roster.Contains(b.Builder) {
+			continue
+		}
+		verdict[b.Ref()] = false
+		fresh = append(fresh, b)
+	}
+	for i, ok := range block.VerifyBatch(d.roster, fresh, 0) {
+		verdict[fresh[i].Ref()] = ok
+	}
+	for _, b := range blocks {
+		if d.Contains(b.Ref()) {
+			continue
+		}
+		// A block that failed the batch check (or was never in it: a
+		// non-member) retakes the serial checks, so the rejection
+		// carries exactly the serial path's sentinel.
+		if err := d.insert(b, !verdict[b.Ref()]); err != nil {
+			return admitted, err
+		}
+		admitted++
+	}
+	return admitted, nil
+}
+
+// Roster returns the roster the DAG validates against: every block in it
+// was checked under these member keys.
+func (d *DAG) Roster() *crypto.Roster { return d.roster }
+
 // Blocks returns all blocks in insertion order (a topological order). The
 // slice is a fresh copy on every call — external callers may retain and
 // reorder it freely; the blocks themselves are shared and must be treated
@@ -443,6 +495,10 @@ func (d *DAG) All() iter.Seq[*block.Block] {
 		}
 	}
 }
+
+// Since returns the blocks inserted after the first i, in insertion
+// order, as a fresh slice — what one extension of the DAG added.
+func (d *DAG) Since(i int) []*block.Block { return append([]*block.Block(nil), d.order[i:]...) }
 
 // BlockAt returns the i-th inserted block.
 func (d *DAG) BlockAt(i int) *block.Block { return d.order[i] }
@@ -537,23 +593,23 @@ func (d *DAG) Leq(other *DAG) bool { return d.g.Leq(other.g) }
 // producing a joint block DAG G' ⩾ G_d ∪ G_other (Lemma A.7). Blocks of
 // other are revalidated against d's roster on the way in.
 func (d *DAG) Merge(other *DAG) error {
-	for _, b := range other.order {
-		if err := d.Insert(b); err != nil {
-			return fmt.Errorf("dag: merge block %v: %w", b.Ref(), err)
-		}
+	if _, err := d.Admit(other.order); err != nil {
+		return fmt.Errorf("dag: merge: %w", err)
 	}
 	return nil
 }
 
 // Clone returns an independent copy of the DAG sharing the immutable
-// blocks. Callbacks are not copied; a seeded base is.
+// blocks. Callbacks are not copied; a seeded base is. The copy is
+// structural only: d's blocks are valid already, so no signature is
+// checked again.
 func (d *DAG) Clone() *DAG {
 	cp := New(d.roster)
 	if err := cp.SeedBase(d.baseSorted); err != nil {
 		panic(fmt.Sprintf("dag: clone seed: %v", err))
 	}
 	for _, b := range d.order {
-		if err := cp.Insert(b); err != nil {
+		if err := cp.InsertVerified(b); err != nil {
 			// Re-inserting a valid DAG in topological order cannot
 			// fail; a failure means d's invariants were broken.
 			panic(fmt.Sprintf("dag: clone insert: %v", err))

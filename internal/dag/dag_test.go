@@ -300,3 +300,61 @@ func TestDecodedBlockValidation(t *testing.T) {
 		t.Fatal("builder mismatch")
 	}
 }
+
+// TestCloneStructuralOnly: cloning a validated DAG verifies no signature
+// — its blocks are valid already — and yields a DAG equal to the source
+// (each ⩽ the other), base stand-ins included.
+func TestCloneStructuralOnly(t *testing.T) {
+	var sigs crypto.Counters
+	roster, signers, err := crypto.LocalRosterWithCounters(2, &sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := New(roster)
+	base := Base{Builder: 1, Seq: 3, Ref: block.Ref{1}}
+	if err := d.SeedBase([]Base{base}); err != nil {
+		t.Fatal(err)
+	}
+	g := sealed(t, signers[0], 0, nil, nil)
+	b1 := sealed(t, signers[0], 1, []block.Ref{g.Ref(), base.Ref}, nil)
+	c4 := sealed(t, signers[1], 4, []block.Ref{base.Ref, b1.Ref()}, nil)
+	if _, err := d.Admit([]*block.Block{g, b1, c4}); err != nil {
+		t.Fatal(err)
+	}
+	before := sigs.Verified()
+	cp := d.Clone()
+	if v := sigs.Verified() - before; v != 0 {
+		t.Fatalf("Clone verified %d signatures, want 0", v)
+	}
+	if !d.Leq(cp) || !cp.Leq(d) || cp.Len() != d.Len() {
+		t.Fatal("clone and source are not equal DAGs")
+	}
+	if _, ok := cp.BaseRef(base.Ref); !ok {
+		t.Fatal("clone lost the base stand-in")
+	}
+}
+
+// TestAdmitVerifiesOnlyUnseen: Admit verifies each block it has not seen
+// exactly once — blocks already held and repeats within the batch are
+// skipped — and reports how many it newly inserted.
+func TestAdmitVerifiesOnlyUnseen(t *testing.T) {
+	var sigs crypto.Counters
+	roster, signers, err := crypto.LocalRosterWithCounters(2, &sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g0 := sealed(t, signers[0], 0, nil, nil)
+	g1 := sealed(t, signers[1], 0, nil, nil)
+	b := sealed(t, signers[0], 1, []block.Ref{g0.Ref(), g1.Ref()}, nil)
+	d := New(roster)
+	if n, err := d.Admit([]*block.Block{g0}); err != nil || n != 1 {
+		t.Fatalf("Admit(g0) = %d, %v", n, err)
+	}
+	n, err := d.Admit([]*block.Block{g0, g1, g1, b, g0})
+	if err != nil || n != 2 {
+		t.Fatalf("Admit = %d, %v; want 2 new blocks", n, err)
+	}
+	if v := sigs.Verified(); v != 3 {
+		t.Fatalf("verified %d signatures for 3 distinct blocks", v)
+	}
+}

@@ -174,7 +174,6 @@ func TestNodeCatchUpFromPeerStore(t *testing.T) {
 		Store:  myStore,
 		CatchUp: &syncsvc.FetchConfig{
 			Transport: myTr,
-			Roster:    roster,
 			Peers:     []types.ServerID{0},
 			Timeout:   10 * time.Second,
 		},
@@ -202,7 +201,7 @@ func TestNodeCatchUpFromPeerStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = reopened.Close() }()
-	if got := len(reopened.Blocks()); got != chainLen {
+	if got := len(reopened.TakeDAG().Blocks()); got != chainLen {
 		t.Fatalf("journal replays %d blocks after restart, want %d", got, chainLen)
 	}
 }

@@ -86,7 +86,6 @@ func TestNodeLiveFollower(t *testing.T) {
 		Store:  myStore,
 		CatchUp: &syncsvc.FetchConfig{
 			Transport: myTr,
-			Roster:    roster,
 			Peers:     []types.ServerID{0},
 			Timeout:   10 * time.Second,
 		},
@@ -106,7 +105,7 @@ func TestNodeLiveFollower(t *testing.T) {
 	// The peer's history grows while the follower runs; only the sync
 	// channel can tell it.
 	const extra = 5
-	parent := lastByBuilder(t, peerStore.Blocks(), 0)
+	parent := lastByBuilder(t, peerStore.TakeDAG().Blocks(), 0)
 	for i := 0; i < extra; i++ {
 		b := block.New(0, parent.Seq+1, []block.Ref{parent.Ref()}, nil)
 		if err := b.Seal(signers[0]); err != nil {
@@ -169,7 +168,7 @@ func TestNodeLiveFollower(t *testing.T) {
 	}
 	defer func() { _ = reopened.Close() }()
 	count := 0
-	for _, b := range reopened.Blocks() {
+	for _, b := range reopened.TakeDAG().Blocks() {
 		if b.Builder == 0 {
 			count++
 		}

@@ -52,32 +52,30 @@ type Config struct {
 	// (roster file plus key file, package roster). New cross-checks it
 	// against the Server: a node keyed as the wrong roster member fails
 	// at startup instead of producing blocks every peer discards and
-	// failing every transport handshake. It also defaults
-	// CatchUp.Roster, so callers wiring a node from files state the
-	// roster exactly once.
+	// failing every transport handshake.
 	Identity *roster.Identity
 	// DisseminateEvery is the block production period (default 50ms).
 	DisseminateEvery time.Duration
 	// TickEvery is the FWD retry-timer period (default 100ms).
 	TickEvery time.Duration
-	// Store, if non-nil, makes the server durable: New replays the
-	// store's recovered blocks through core.Server.Restore (resuming the
-	// pre-crash chain), installs the store's persistence sink
-	// (store.Store.PersistSink, which force-syncs own blocks before
-	// gossip broadcasts them), and the loop drives interval fsync
-	// alongside the FWD timer. The store must be freshly opened (store.Open) and the
-	// server freshly built; the caller keeps ownership and closes the
-	// store after Stop. On a clean shutdown Stop leaves the WAL fully
-	// synced.
+	// Store, if non-nil, makes the server durable: New takes the store's
+	// recovered DAG (store.Store.TakeDAG) and replays it through
+	// core.Server.Restore (resuming the pre-crash chain), installs the
+	// store's persistence sink (store.Store.PersistSink, which
+	// force-syncs own blocks before gossip broadcasts them), and the loop
+	// drives interval fsync alongside the FWD timer. The store must be
+	// freshly opened (store.Open) and the server freshly built; the
+	// caller keeps ownership and closes the store after Stop. On a clean
+	// shutdown Stop leaves the WAL fully synced.
 	Store *store.Store
 	// CatchUp, if non-nil, bulk-syncs the server before the loop starts:
 	// New asks the configured peers for every block the store does not
-	// already hold (transport.ChanSync, package syncsvc), validates the
-	// stream against the roster, journals the result, and restores the
-	// server from store plus stream in one replay. A node with an empty
-	// or stale store thus starts within one streamed round trip of the
-	// cluster instead of re-fetching the backlog one FWD request at a
-	// time. Catch-up failure is not fatal — the fetched prefix is kept
+	// already hold (transport.ChanSync, package syncsvc), admits the
+	// stream into the store's recovered DAG (validating each block once),
+	// journals the result, and restores the server from that one DAG. A
+	// node with an empty or stale store thus starts within one streamed
+	// round trip of the cluster instead of re-fetching the backlog one
+	// FWD request at a time. Catch-up failure is not fatal — the fetched prefix is kept
 	// and gossip's FWD path fills the remainder; CatchUpReport records
 	// what happened.
 	CatchUp *syncsvc.FetchConfig
@@ -93,7 +91,7 @@ type Config struct {
 	// one streamed round trip instead of re-fetching the gap one FWD
 	// round trip at a time; FWD stays armed as the fallback for anything
 	// the follower has not pulled yet. Requires Config.CatchUp (the
-	// follower reuses its Transport, Roster, Peers, and MaxBlocks).
+	// follower reuses its Transport, Peers, and MaxBlocks).
 	// A throttled or failing peer costs one poll period: the next poll
 	// rotates to the next peer. 0 disables.
 	FollowEvery time.Duration
@@ -267,19 +265,13 @@ func New(cfg Config) (*Node, error) {
 		if cfg.Identity.ID() != cfg.Server.ID() {
 			return nil, fmt.Errorf("node: identity is server %d, core server is %d", cfg.Identity.ID(), cfg.Server.ID())
 		}
-		if cfg.CatchUp != nil && cfg.CatchUp.Roster == nil {
-			// Copy before defaulting: the FetchConfig is caller-owned.
-			catchUp := *cfg.CatchUp
-			catchUp.Roster = cfg.Identity.Roster
-			cfg.CatchUp = &catchUp
-		}
 	}
 	if cfg.FollowEvery > 0 {
 		switch {
 		case cfg.CatchUp == nil:
-			return nil, errors.New("node: FollowEvery needs Config.CatchUp (the follower reuses its transport, roster, and peers)")
-		case cfg.CatchUp.Transport == nil || cfg.CatchUp.Roster == nil || len(cfg.CatchUp.Peers) == 0:
-			return nil, errors.New("node: FollowEvery needs CatchUp's Transport, Roster, and Peers")
+			return nil, errors.New("node: FollowEvery needs Config.CatchUp (the follower reuses its transport and peers)")
+		case cfg.CatchUp.Transport == nil || len(cfg.CatchUp.Peers) == 0:
+			return nil, errors.New("node: FollowEvery needs CatchUp's Transport and Peers")
 		}
 	}
 	if cfg.DisseminateEvery <= 0 {
@@ -302,18 +294,13 @@ func New(cfg Config) (*Node, error) {
 	if err := cfg.Server.AddIndicationObserver(n.broker.Publish); err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
-	var replay []*block.Block
-	var base []dag.Base
+	// d is the one validated DAG recovery and catch-up build up; Restore
+	// replays it and it is dropped when New returns, so the history is
+	// held once, by the server.
+	var d *dag.DAG
 	if cfg.Store != nil {
-		replay = cfg.Store.Blocks()
-		// A pruned (or snapshot-installed) store stands on a base table:
-		// seed the server's DAG with it before any block is replayed, so
-		// chains resume above the horizon without their pruned prefixes.
-		base = cfg.Store.Base()
-		if len(base) > 0 {
-			if err := cfg.Server.SeedBase(base); err != nil {
-				return nil, fmt.Errorf("node: seed pruned-history base: %w", err)
-			}
+		if d = cfg.Store.TakeDAG(); d == nil {
+			return nil, errors.New("node: the store's recovered DAG was already taken; reopen the store")
 		}
 		if cfg.State != nil {
 			// Rebuild the machine from the journaled checkpoint (and
@@ -325,30 +312,26 @@ func New(cfg Config) (*Node, error) {
 		}
 	}
 	if cfg.CatchUp != nil {
-		catchUp := *cfg.CatchUp
-		if len(base) > 0 && len(catchUp.Base) == 0 {
-			catchUp.Base = base
+		if d == nil {
+			d = dag.New(cfg.Server.DAG().Roster())
 		}
-		fetched, err := syncsvc.Fetch(catchUp, replay)
+		fetched, err := syncsvc.Fetch(*cfg.CatchUp, d)
 		n.catchUp = CatchUpReport{Ran: true, Blocks: len(fetched), Err: err}
-		if len(fetched) > 0 {
-			replay = append(append([]*block.Block(nil), replay...), fetched...)
-			if cfg.Store != nil {
-				// Journal the bulk stream so the next restart replays
-				// it from disk instead of re-syncing — as one group
-				// commit: the whole fetched backlog costs one write
-				// per segment run, and the final Sync forces it out.
-				if err := cfg.Store.AppendBatch(fetched); err != nil {
-					return nil, fmt.Errorf("node: journal catch-up blocks: %w", err)
-				}
-				if err := cfg.Store.Sync(); err != nil {
-					return nil, fmt.Errorf("node: sync catch-up blocks: %w", err)
-				}
+		if len(fetched) > 0 && cfg.Store != nil {
+			// Journal the bulk stream so the next restart replays it from
+			// disk instead of re-syncing — as one group commit: the whole
+			// fetched backlog costs one write per segment run, and the
+			// final Sync forces it out.
+			if err := cfg.Store.AppendBatch(fetched); err != nil {
+				return nil, fmt.Errorf("node: journal catch-up blocks: %w", err)
+			}
+			if err := cfg.Store.Sync(); err != nil {
+				return nil, fmt.Errorf("node: sync catch-up blocks: %w", err)
 			}
 		}
 	}
-	if len(replay) > 0 {
-		if err := cfg.Server.Restore(replay); err != nil {
+	if d != nil {
+		if err := cfg.Server.Restore(d); err != nil {
 			return nil, fmt.Errorf("node: restore from store: %w", err)
 		}
 	}
@@ -361,7 +344,7 @@ func New(cfg Config) (*Node, error) {
 		// claims the pruned prefix (covered by the certified snapshot)
 		// without ever observing it.
 		n.tracker.SeedHorizon(cfg.Store.Horizon())
-		for _, b := range replay {
+		for b := range cfg.Server.DAG().All() {
 			n.tracker.Observe(b)
 		}
 		// PersistSink, not a bare Append: own blocks must be durable
@@ -706,11 +689,7 @@ func (n *Node) handleFollowResult(r followResult) {
 	if n.tracker != nil {
 		horizon = n.tracker.Horizon()
 	}
-	pull, err := syncsvc.DeltaIfBehind(n.cfg.CatchUp.Roster, srv.DAG(), horizon, r.wms, n.cfg.CatchUp.MaxBlocks)
-	if err != nil {
-		n.settleFollow(r.peer, err)
-		return
-	}
+	pull := syncsvc.DeltaIfBehind(srv.DAG(), horizon, r.wms, n.cfg.CatchUp.MaxBlocks)
 	if pull == nil {
 		n.settleFollow(r.peer, nil) // in sync with this peer; nothing to pull
 		return

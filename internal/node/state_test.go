@@ -119,7 +119,6 @@ func (sn *stateNode) boot(t *testing.T, roster *crypto.Roster, signer *crypto.Si
 		},
 		CatchUp: &syncsvc.FetchConfig{
 			Transport: sn.tr,
-			Roster:    roster,
 			Peers:     peers,
 			Timeout:   10 * time.Second,
 		},
@@ -334,7 +333,11 @@ func TestWipedNodeRejoinsViaSnapshotTier(t *testing.T) {
 	}
 	// Nothing below the horizon was replayed: every journaled block sits
 	// at or above the installed horizon for its builder.
-	for _, b := range rn.st.Blocks() {
+	journaled, err := store.ScanDir(rn.st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range journaled {
 		if h, ok := horizon[b.Builder]; ok && b.Seq < h {
 			t.Fatalf("rejoined store replayed pruned history: s%d seq %d < horizon %d",
 				b.Builder, b.Seq, h)

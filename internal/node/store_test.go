@@ -25,7 +25,7 @@ func runDurableNode(t *testing.T, dir string, roster *crypto.Roster, signer *cry
 	if err != nil {
 		t.Fatal(err)
 	}
-	prior := len(st.Blocks())
+	prior := st.Report().Blocks
 	m := &metrics.Metrics{}
 	srv, err := core.NewServer(core.Config{
 		Roster:    roster,
@@ -97,7 +97,7 @@ func TestNodeStoreRecoverResume(t *testing.T) {
 	defer func() { _ = st.Close() }()
 	seen := make(map[uint64]block.Ref)
 	var maxSeq uint64
-	for _, b := range st.Blocks() {
+	for b := range st.TakeDAG().All() {
 		if dup, ok := seen[b.Seq]; ok {
 			t.Fatalf("seq %d journaled twice (%v, %v): restart equivocated", b.Seq, dup, b.Ref())
 		}

@@ -92,13 +92,13 @@ func TestAppendBatchRecovers(t *testing.T) {
 
 	re := openStore(t, dir, roster, store.Options{})
 	defer re.Close()
-	if got := len(re.Blocks()); got != len(blocks) {
+	if got := len(re.RecoveredBlocks()); got != len(blocks) {
 		t.Fatalf("recovered %d blocks, want %d", got, len(blocks))
 	}
 	if re.Report().Duplicates != 0 {
 		t.Fatalf("batch journaled %d duplicate records", re.Report().Duplicates)
 	}
-	if !sameRefs(re.Blocks(), blocks) {
+	if !sameRefs(re.RecoveredBlocks(), blocks) {
 		t.Fatal("recovered blocks differ from the appended chain")
 	}
 }
@@ -152,7 +152,7 @@ func TestBatchBuffersUntilFlush(t *testing.T) {
 	}
 	re := openStore(t, dir, roster, store.Options{})
 	defer re.Close()
-	if got := len(re.Blocks()); got != len(blocks) {
+	if got := len(re.RecoveredBlocks()); got != len(blocks) {
 		t.Fatalf("recovered %d blocks, want %d", got, len(blocks))
 	}
 }
@@ -172,7 +172,7 @@ func TestAppendBatchOversizedRecord(t *testing.T) {
 	}
 	re := openStore(t, dir, roster, store.Options{})
 	defer re.Close()
-	if got := len(re.Blocks()); got != len(blocks) {
+	if got := len(re.RecoveredBlocks()); got != len(blocks) {
 		t.Fatalf("recovered %d blocks, want %d", got, len(blocks))
 	}
 }
@@ -203,7 +203,7 @@ func TestCheckpointDrainsOpenBatch(t *testing.T) {
 	}
 	re := openStore(t, dir, roster, store.Options{})
 	defer re.Close()
-	if got := len(re.Blocks()); got != len(blocks) {
+	if got := len(re.RecoveredBlocks()); got != len(blocks) {
 		t.Fatalf("recovered %d blocks, want %d", got, len(blocks))
 	}
 }

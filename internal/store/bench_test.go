@@ -159,7 +159,7 @@ func BenchmarkStoreRecover(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if got := len(st.Blocks()); got != blocksN {
+				if got := len(st.RecoveredBlocks()); got != blocksN {
 					b.Fatalf("recovered %d blocks, want %d", got, blocksN)
 				}
 				if err := st.Close(); err != nil {

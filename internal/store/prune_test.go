@@ -56,10 +56,10 @@ func TestPruneToRoundTrip(t *testing.T) {
 
 	re := openStore(t, dir, roster, store.Options{})
 	defer re.Close()
-	if got := len(re.Blocks()); got != 5 {
+	if got := len(re.RecoveredBlocks()); got != 5 {
 		t.Fatalf("recovered %d blocks, want 5", got)
 	}
-	for _, b := range re.Blocks() {
+	for _, b := range re.RecoveredBlocks() {
 		if b.Seq < 5 {
 			t.Fatalf("recovered pruned block seq %d", b.Seq)
 		}
@@ -86,7 +86,7 @@ func TestPruneToRoundTrip(t *testing.T) {
 	if err := rd.SeedBase(re.Base()); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range re.Blocks() {
+	for _, b := range re.RecoveredBlocks() {
 		if err := rd.Insert(b); err != nil {
 			t.Fatalf("recovered block %v failed revalidation: %v", b.Ref(), err)
 		}
@@ -143,10 +143,10 @@ func TestCheckpointHorizonSticky(t *testing.T) {
 
 	re := openStore(t, dir, roster, store.Options{})
 	defer re.Close()
-	if got := len(re.Blocks()); got != 7 {
+	if got := len(re.RecoveredBlocks()); got != 7 {
 		t.Fatalf("recovered %d blocks, want 7 (seq 5..11)", got)
 	}
-	for _, b := range re.Blocks() {
+	for _, b := range re.RecoveredBlocks() {
 		if b.Seq < 5 {
 			t.Fatalf("checkpoint resurrected pruned block seq %d", b.Seq)
 		}
@@ -177,7 +177,7 @@ func TestPruneCrashBeforePublish(t *testing.T) {
 
 	re := openStore(t, dir, roster, store.Options{})
 	defer re.Close()
-	if got := len(re.Blocks()); got != len(blocks) {
+	if got := len(re.RecoveredBlocks()); got != len(blocks) {
 		t.Fatalf("recovered %d blocks, want the full %d (old horizon rules)", got, len(blocks))
 	}
 	if re.Horizon() != nil {
@@ -231,7 +231,7 @@ func TestPruneCrashBeforeCleanup(t *testing.T) {
 
 	re := openStore(t, dir, roster, store.Options{})
 	defer re.Close()
-	if got := len(re.Blocks()); got != 4 {
+	if got := len(re.RecoveredBlocks()); got != 4 {
 		t.Fatalf("recovered %d blocks, want 4 (new horizon rules)", got)
 	}
 	if h := re.Horizon(); h[0] != 4 {
@@ -266,7 +266,7 @@ func TestInstallSnapshotLifecycle(t *testing.T) {
 	}
 
 	st := openStore(t, dir, roster, store.Options{})
-	if got := len(st.Blocks()); got != 0 {
+	if got := len(st.RecoveredBlocks()); got != 0 {
 		t.Fatalf("installed store recovered %d blocks, want 0", got)
 	}
 	if h := st.Horizon(); h[0] != 5 {
@@ -295,7 +295,7 @@ func TestInstallSnapshotLifecycle(t *testing.T) {
 
 	re := openStore(t, dir, roster, store.Options{})
 	defer re.Close()
-	if got := len(re.Blocks()); got != 4 {
+	if got := len(re.RecoveredBlocks()); got != 4 {
 		t.Fatalf("recovered %d delta blocks, want 4", got)
 	}
 }
@@ -313,7 +313,7 @@ func TestInstallSnapshotCrashMidApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := openStore(t, dir, roster, store.Options{})
-	if got := len(st.Blocks()); got != 0 {
+	if got := len(st.RecoveredBlocks()); got != 0 {
 		t.Fatalf("torn install recovered %d blocks", got)
 	}
 	if st.Horizon() != nil || st.StateCheckpoint() != nil {

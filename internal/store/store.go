@@ -117,7 +117,9 @@ type Store struct {
 	dir  string
 	opts Options
 
-	recovered []*block.Block
+	// recovered is the validated DAG Open rebuilt, held only until
+	// TakeDAG hands it over.
+	recovered *dag.DAG
 	present   map[block.Ref]struct{}
 	report    OpenReport
 
@@ -178,8 +180,8 @@ type Store struct {
 // order — the newest snapshot first, then the WAL tail — truncates a torn
 // final record instead of failing, revalidates every block against the
 // roster by replaying into a fresh DAG, and leaves the store ready to
-// Append. The recovered blocks (in a topological order, ready for
-// core.Server.Restore) are available from Blocks.
+// Append. The recovered blocks, validated once, are available as a
+// *dag.DAG from TakeDAG, ready for core.Server.Restore.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.Roster == nil {
 		return nil, errors.New("store: options need a Roster")
@@ -274,7 +276,7 @@ func (s *Store) recover() error {
 		segs = segs[:n-1]
 	}
 
-	// Replaying into a fresh DAG revalidates every block (signature,
+	// Admitting into a fresh DAG revalidates every block (signature,
 	// parent rule, predecessor closure — Definition 3.3) and yields the
 	// recovered blocks in a topological order.
 	d := dag.New(s.opts.Roster)
@@ -351,8 +353,11 @@ func (s *Store) recover() error {
 			s.nextIdx = sf.index + 1
 		}
 	}
-	s.recovered = d.Blocks()
-	s.report.Blocks = len(s.recovered)
+	for b := range d.All() {
+		s.present[b.Ref()] = struct{}{}
+	}
+	s.recovered = d
+	s.report.Blocks = d.Len()
 	for _, sf := range segs {
 		if !sf.snap {
 			s.walSegs++
@@ -380,19 +385,14 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// admit inserts recovered blocks into the validation DAG and the present
-// set, dropping duplicates.
+// admit revalidates one segment's blocks into the recovery DAG (dag.Admit),
+// counting the records it already held as duplicates.
 func (s *Store) admit(d *dag.DAG, blocks []*block.Block) error {
-	for _, b := range blocks {
-		if _, dup := s.present[b.Ref()]; dup {
-			s.report.Duplicates++
-			continue
-		}
-		if err := d.Insert(b); err != nil {
-			return fmt.Errorf("store: recovered block %v failed revalidation: %w", b.Ref(), err)
-		}
-		s.present[b.Ref()] = struct{}{}
+	admitted, err := d.Admit(blocks)
+	if err != nil {
+		return fmt.Errorf("store: recovered block failed revalidation: %w", err)
 	}
+	s.report.Duplicates += len(blocks) - admitted
 	return nil
 }
 
@@ -402,15 +402,20 @@ func (s *Store) Dir() string { return s.dir }
 // Report returns what Open found and repaired.
 func (s *Store) Report() OpenReport { return s.report }
 
-// Blocks returns the blocks recovered by Open, in a topological order
-// suitable for core.Server.Restore. The slice is shared; treat it as
-// read-only.
-func (s *Store) Blocks() []*block.Block { return s.recovered }
+// TakeDAG hands over the DAG Open recovered: every block revalidated once,
+// in a topological order, over the pruned-history base if any — ready for
+// core.Server.Restore or a catch-up pull to extend. The store keeps no
+// reference, so the recovered history is held once; later calls return
+// nil.
+func (s *Store) TakeDAG() *dag.DAG {
+	d := s.recovered
+	s.recovered = nil
+	return d
+}
 
 // Base returns the pruned-history base table recovered from the newest
-// snapshot, ordered by (builder, seq); nil for an unpruned store. A
-// server restoring from a pruned store must SeedBase these into its DAG
-// before replaying Blocks.
+// snapshot (or installed since), ordered by (builder, seq); nil for an
+// unpruned store. The DAG from TakeDAG is already seeded with it.
 func (s *Store) Base() []dag.Base { return append([]dag.Base(nil), s.base...) }
 
 // Horizon returns the sticky per-builder prune horizon — the first

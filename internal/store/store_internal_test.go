@@ -63,7 +63,7 @@ func TestAppendAfterTornWriteRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = re.Close() }()
-	if got := len(re.Blocks()); got != 2 {
+	if got := len(re.RecoveredBlocks()); got != 2 {
 		t.Fatalf("recovered %d blocks after repair, want 2", got)
 	}
 	if tb := re.Report().TornBytes; tb != 0 {
@@ -124,7 +124,7 @@ func TestAbandonReleasesHandle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = re.Close() }()
-	if got := len(re.Blocks()); got != 1 {
+	if got := len(re.RecoveredBlocks()); got != 1 {
 		t.Fatalf("recovered %d blocks after abandon, want 1", got)
 	}
 }

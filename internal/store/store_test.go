@@ -110,7 +110,7 @@ func sameRefs(a, b []*block.Block) bool {
 func TestOpenEmpty(t *testing.T) {
 	roster, _ := chain(t, 1)
 	st := openStore(t, t.TempDir(), roster, store.Options{})
-	if got := len(st.Blocks()); got != 0 {
+	if got := len(st.RecoveredBlocks()); got != 0 {
 		t.Fatalf("fresh store recovered %d blocks", got)
 	}
 	if err := st.Close(); err != nil {
@@ -133,7 +133,7 @@ func TestAppendReopen(t *testing.T) {
 
 	st2 := openStore(t, dir, roster, store.Options{})
 	defer func() { _ = st2.Close() }()
-	got := st2.Blocks()
+	got := st2.RecoveredBlocks()
 	if len(got) != len(blocks) {
 		t.Fatalf("recovered %d blocks, want %d", len(got), len(blocks))
 	}
@@ -192,8 +192,8 @@ func TestSegmentRotation(t *testing.T) {
 
 	st2 := openStore(t, dir, roster, store.Options{SegmentSize: 512})
 	defer func() { _ = st2.Close() }()
-	if !sameRefs(st2.Blocks(), blocks) {
-		t.Fatalf("rotation round trip lost blocks: got %d want %d", len(st2.Blocks()), len(blocks))
+	if !sameRefs(st2.RecoveredBlocks(), blocks) {
+		t.Fatalf("rotation round trip lost blocks: got %d want %d", len(st2.RecoveredBlocks()), len(blocks))
 	}
 	if st2.Report().Segments != len(entries) {
 		t.Fatalf("report.Segments = %d, want %d", st2.Report().Segments, len(entries))
@@ -262,7 +262,7 @@ func TestOpenTornTail(t *testing.T) {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		want := wholeRecords(cut)
-		if got := len(st.Blocks()); got != want {
+		if got := len(st.RecoveredBlocks()); got != want {
 			t.Fatalf("cut %d: recovered %d blocks, want %d", cut, got, want)
 		}
 		wantTorn := cut - sizes[want]
@@ -283,8 +283,8 @@ func TestOpenTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
-		if !sameRefs(st2.Blocks(), blocks) {
-			t.Fatalf("cut %d: final recovery has %d blocks, want %d", cut, len(st2.Blocks()), len(blocks))
+		if !sameRefs(st2.RecoveredBlocks(), blocks) {
+			t.Fatalf("cut %d: final recovery has %d blocks, want %d", cut, len(st2.RecoveredBlocks()), len(blocks))
 		}
 		if err := st2.Close(); err != nil {
 			t.Fatal(err)
@@ -304,7 +304,7 @@ func TestOpenTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("head cut %d: %v", cut, err)
 		}
-		if got := len(st.Blocks()); got != wholeRecords(cut) {
+		if got := len(st.RecoveredBlocks()); got != wholeRecords(cut) {
 			t.Fatalf("head cut %d: recovered %d blocks, want %d", cut, got, wholeRecords(cut))
 		}
 		appendAll(t, st, blocks)
@@ -315,8 +315,8 @@ func TestOpenTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("head cut %d: reopen: %v", cut, err)
 		}
-		if !sameRefs(st2.Blocks(), blocks) {
-			t.Fatalf("head cut %d: final recovery has %d blocks, want %d", cut, len(st2.Blocks()), len(blocks))
+		if !sameRefs(st2.RecoveredBlocks(), blocks) {
+			t.Fatalf("head cut %d: final recovery has %d blocks, want %d", cut, len(st2.RecoveredBlocks()), len(blocks))
 		}
 		if err := st2.Close(); err != nil {
 			t.Fatal(err)
@@ -401,8 +401,8 @@ func TestCheckpointCompaction(t *testing.T) {
 	// Post-compaction recovery: snapshot + WAL tail.
 	st2 := openStore(t, dir, roster, store.Options{})
 	defer func() { _ = st2.Close() }()
-	if !sameRefs(st2.Blocks(), append(append([]*block.Block(nil), blocks...), more)) {
-		t.Fatalf("post-compaction recovery mismatch: %d blocks", len(st2.Blocks()))
+	if !sameRefs(st2.RecoveredBlocks(), append(append([]*block.Block(nil), blocks...), more)) {
+		t.Fatalf("post-compaction recovery mismatch: %d blocks", len(st2.RecoveredBlocks()))
 	}
 	rep := st2.Report()
 	if !rep.HasSnapshot {
@@ -433,8 +433,8 @@ func TestCheckpointPrunes(t *testing.T) {
 	}
 	st2 := openStore(t, dir, roster, store.Options{})
 	defer func() { _ = st2.Close() }()
-	if !sameRefs(st2.Blocks(), blocks[:5]) {
-		t.Fatalf("pruned store recovered %d blocks, want 5", len(st2.Blocks()))
+	if !sameRefs(st2.RecoveredBlocks(), blocks[:5]) {
+		t.Fatalf("pruned store recovered %d blocks, want 5", len(st2.RecoveredBlocks()))
 	}
 }
 
@@ -468,8 +468,8 @@ func TestCheckpointCrashCleanup(t *testing.T) {
 	}
 	st2 := openStore(t, dir, roster, store.Options{})
 	defer func() { _ = st2.Close() }()
-	if !sameRefs(st2.Blocks(), blocks) {
-		t.Fatalf("recovered %d blocks, want %d", len(st2.Blocks()), len(blocks))
+	if !sameRefs(st2.RecoveredBlocks(), blocks) {
+		t.Fatalf("recovered %d blocks, want %d", len(st2.RecoveredBlocks()), len(blocks))
 	}
 	if st2.Report().StaleSegments != 1 {
 		t.Fatalf("StaleSegments = %d, want 1", st2.Report().StaleSegments)
@@ -498,7 +498,7 @@ func TestTornHeaderSegmentResume(t *testing.T) {
 	}
 
 	st2 := openStore(t, dir, roster, store.Options{})
-	if got := len(st2.Blocks()); got != 4 {
+	if got := len(st2.RecoveredBlocks()); got != 4 {
 		t.Fatalf("recovered %d blocks, want 4", got)
 	}
 	if rep := st2.Report(); rep.TornBytes != 5 {
@@ -510,8 +510,8 @@ func TestTornHeaderSegmentResume(t *testing.T) {
 	}
 	st3 := openStore(t, dir, roster, store.Options{})
 	defer func() { _ = st3.Close() }()
-	if !sameRefs(st3.Blocks(), blocks) {
-		t.Fatalf("final recovery has %d blocks, want %d", len(st3.Blocks()), len(blocks))
+	if !sameRefs(st3.RecoveredBlocks(), blocks) {
+		t.Fatalf("final recovery has %d blocks, want %d", len(st3.RecoveredBlocks()), len(blocks))
 	}
 	if rep := st3.Report(); rep.TornBytes != 0 {
 		t.Fatalf("reopen after repair reports %d torn bytes", rep.TornBytes)
@@ -555,8 +555,8 @@ func TestOrphanedSnapshotTmpSwept(t *testing.T) {
 	if rw.Report().StaleSegments != 1 {
 		t.Fatalf("StaleSegments = %d, want 1", rw.Report().StaleSegments)
 	}
-	if !sameRefs(rw.Blocks(), blocks) {
-		t.Fatalf("recovered %d blocks, want %d", len(rw.Blocks()), len(blocks))
+	if !sameRefs(rw.RecoveredBlocks(), blocks) {
+		t.Fatalf("recovered %d blocks, want %d", len(rw.RecoveredBlocks()), len(blocks))
 	}
 }
 
@@ -596,8 +596,8 @@ func TestSnapshotEquivocation(t *testing.T) {
 	}
 	st2 := openStore(t, dir, roster, store.Options{})
 	defer func() { _ = st2.Close() }()
-	if len(st2.Blocks()) != 3 {
-		t.Fatalf("recovered %d blocks, want 3", len(st2.Blocks()))
+	if len(st2.RecoveredBlocks()) != 3 {
+		t.Fatalf("recovered %d blocks, want 3", len(st2.RecoveredBlocks()))
 	}
 }
 
@@ -628,8 +628,8 @@ func TestSyncPolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 			st2 := openStore(t, dir, roster, store.Options{})
-			if !sameRefs(st2.Blocks(), blocks) {
-				t.Fatalf("recovered %d blocks, want %d", len(st2.Blocks()), len(blocks))
+			if !sameRefs(st2.RecoveredBlocks(), blocks) {
+				t.Fatalf("recovered %d blocks, want %d", len(st2.RecoveredBlocks()), len(blocks))
 			}
 			if err := st2.Close(); err != nil {
 				t.Fatal(err)

@@ -52,10 +52,7 @@ func BenchmarkCatchUp(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			net := simnet.New(simnet.WithSeed(1))
 			net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: st})
-			pull, err := syncsvc.NewPull(roster, nil, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
+			pull := syncsvc.NewPull(dag.New(roster), 0)
 			net.Transport(1).Call(0, transport.ChanSync, pull.Request(), pull)
 			if !net.RunUntil(pull.Done) {
 				b.Fatal("stream did not finish")

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"blockdag/internal/block"
-	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/transport"
 	"blockdag/internal/types"
@@ -177,12 +176,13 @@ func (q *WatermarkQuery) Result() ([]Watermark, error) {
 // DeltaIfBehind is the decision core of one follow poll, shared by the
 // node runtime and the cluster simulator so the two drivers cannot
 // diverge: given the peer's advertised vector, return nil when the peer
-// holds nothing outside the local horizon, otherwise a delta pull
-// seeded (trusted, no signature re-verification) from the local DAG.
-// horizon may be nil, in which case it is computed from the DAG — pass
-// a tracker-maintained horizon to keep the in-sync fast path O(#builders)
-// instead of O(DAG).
-func DeltaIfBehind(roster *crypto.Roster, d *dag.DAG, horizon map[types.ServerID]uint64, peer []Watermark, maxBlocks int) (*Pull, error) {
+// holds nothing outside the local horizon, otherwise a delta pull that
+// extends a clone of the local DAG (dag.Clone is structural only, so no
+// held block is verified again; the live DAG stays untouched until
+// AbsorbPull). horizon may be nil, in which case it is computed from the
+// DAG — pass a tracker-maintained horizon to keep the in-sync fast path
+// O(#builders) instead of O(DAG).
+func DeltaIfBehind(d *dag.DAG, horizon map[types.ServerID]uint64, peer []Watermark, maxBlocks int) *Pull {
 	if horizon == nil {
 		horizon = Horizon(d.All())
 		// A pruned DAG holds nothing below its base horizon, but is not
@@ -194,9 +194,9 @@ func DeltaIfBehind(roster *crypto.Roster, d *dag.DAG, horizon map[types.ServerID
 		}
 	}
 	if !Behind(horizon, peer) {
-		return nil, nil
+		return nil
 	}
-	return NewPullFrom(roster, d.Base(), d.Blocks(), maxBlocks)
+	return NewPull(d.Clone(), maxBlocks)
 }
 
 // AbsorbPull feeds every validated block of a settled pull to absorb

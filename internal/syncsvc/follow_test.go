@@ -1,6 +1,7 @@
 package syncsvc_test
 
 import (
+	"blockdag/internal/crypto"
 	"errors"
 	"testing"
 	"time"
@@ -207,8 +208,9 @@ func TestDAGWatermarksMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestPullTrustedSeed: a trusted-seed pull resumes from the seed's
-// watermarks and still validates the streamed remainder.
+// TestPullTrustedSeed: a pull extending a validated DAG resumes from the
+// DAG's watermarks, trusts the blocks the DAG already holds (no signature
+// re-verified), and validates the streamed remainder once per block.
 func TestPullTrustedSeed(t *testing.T) {
 	roster, blocks := buildChain(t, 40)
 	st := storeWith(t, t.TempDir(), roster, blocks)
@@ -217,10 +219,10 @@ func TestPullTrustedSeed(t *testing.T) {
 	net := simnet.New(simnet.WithSeed(6))
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: st})
 
-	pull, err := syncsvc.NewPullTrusted(roster, blocks[:15], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seed := admitted(t, roster, blocks[:15])
+	var sigs crypto.Counters
+	roster.SetCounters(&sigs)
+	pull := syncsvc.NewPull(seed, 0)
 	net.Transport(1).Call(0, transport.ChanSync, pull.Request(), pull)
 	if !net.RunUntil(pull.Done) {
 		t.Fatal("stream never finished")
@@ -236,5 +238,8 @@ func TestPullTrustedSeed(t *testing.T) {
 		if b.Seq != uint64(15+i) {
 			t.Fatalf("suffix block %d has seq %d", i, b.Seq)
 		}
+	}
+	if v := sigs.Verified(); v != 25 {
+		t.Fatalf("pull verified %d signatures, want 25 (the suffix only)", v)
 	}
 }

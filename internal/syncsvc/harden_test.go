@@ -1,6 +1,7 @@
 package syncsvc_test
 
 import (
+	"blockdag/internal/dag"
 	"errors"
 	"fmt"
 	"sync"
@@ -173,10 +174,7 @@ func TestThrottledStreamKeepsClientClean(t *testing.T) {
 		Clock:  func() time.Duration { return 0 },
 	}
 	run := func() ([]*block.Block, error) {
-		pull, err := syncsvc.NewPull(roster, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pull := syncsvc.NewPull(dag.New(roster), 0)
 		st := newPullStream(pull)
 		srv.ServeCall(1, pull.Request(), st)
 		return pull.Result()
@@ -200,10 +198,7 @@ func TestThrottledStreamKeepsClientClean(t *testing.T) {
 // unimplementable over the real network.
 func TestThrottledSentinelSurvivesTransport(t *testing.T) {
 	roster, _ := buildChain(t, 1)
-	pull, err := syncsvc.NewPull(roster, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pull := syncsvc.NewPull(dag.New(roster), 0)
 	// What tcpnet's decodeCallError yields for a non-transport error.
 	pull.OnDone(fmt.Errorf("transport: remote error: %v", syncsvc.ErrThrottled))
 	if _, err := pull.Result(); !errors.Is(err, syncsvc.ErrThrottled) {

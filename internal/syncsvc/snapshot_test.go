@@ -341,8 +341,8 @@ func TestDAGWatermarksPruned(t *testing.T) {
 }
 
 // TestPullFromBaseSeeded: a pruned joiner's delta pull advertises its
-// base horizon, receives only the blocks above it, and validates them
-// against the base-seeded scratch DAG.
+// base horizon, receives only the blocks above it, and admits them into
+// its base-seeded DAG.
 func TestPullFromBaseSeeded(t *testing.T) {
 	roster, blocks := buildChain(t, 10)
 	st := storeWith(t, t.TempDir(), roster, blocks)
@@ -352,10 +352,11 @@ func TestPullFromBaseSeeded(t *testing.T) {
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: st})
 
 	base := []dag.Base{{Builder: 0, Seq: 4, Ref: blocks[4].Ref()}}
-	pull, err := syncsvc.NewPullFrom(roster, base, nil, 0)
-	if err != nil {
+	d := dag.New(roster)
+	if err := d.SeedBase(base); err != nil {
 		t.Fatal(err)
 	}
+	pull := syncsvc.NewPull(d, 0)
 	net.Transport(1).Call(0, transport.ChanSync, pull.Request(), pull)
 	if !net.RunUntil(pull.Done) {
 		t.Fatal("delta stream did not finish")
@@ -372,15 +373,9 @@ func TestPullFromBaseSeeded(t *testing.T) {
 			t.Fatalf("block %d has seq %d", i, b.Seq)
 		}
 	}
-	// The delta must insert into a base-seeded DAG — the joiner's state.
-	d := dag.New(roster)
-	if err := d.SeedBase(base); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range got {
-		if err := d.Insert(b); err != nil {
-			t.Fatalf("replay onto base: %v", err)
-		}
+	// The delta extended the base-seeded DAG — the joiner's state.
+	if d.Len() != 5 {
+		t.Fatalf("base-seeded DAG holds %d blocks, want 5", d.Len())
 	}
 }
 

@@ -34,10 +34,11 @@
 //
 // # Threat model
 //
-// The serving peer is untrusted: the client revalidates every streamed
-// block (roster signature, parent rule, predecessor closure) by inserting
-// it into a scratch DAG seeded with the blocks it already holds, exactly
-// the validation a block must pass to enter the live DAG. A tampered,
+// The serving peer is untrusted: the client admits every streamed block
+// (dag.Admit: roster signature, parent rule, predecessor closure) into a
+// validated DAG holding what it already has — its recovered store, or a
+// clone of its live DAG — exactly the validation a block must pass to
+// enter the live DAG, paid once per block. A tampered,
 // forged, or ill-ordered stream aborts the pull with an error; blocks
 // validated before the abort are genuine (their signatures verified) and
 // may be kept, so a malicious server can at worst serve less than it
@@ -61,7 +62,6 @@ import (
 	"time"
 
 	"blockdag/internal/block"
-	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/peerscore"
 	"blockdag/internal/store"
@@ -601,14 +601,15 @@ func (s *Server) load() ([]*block.Block, error) {
 }
 
 // Pull is the client side of one catch-up stream: a transport.CallSink
-// that validates every received block against the roster and the DAG
-// rules before accepting it. Safe for concurrent sink invocation and
-// inspection (tcpnet drives it from a connection goroutine).
+// that admits every received block (dag.Admit: roster signature, parent
+// rule, predecessor closure) into the validated DAG it extends. Safe for
+// concurrent sink invocation and inspection (tcpnet drives it from a
+// connection goroutine); the DAG belongs to the pull until it settles or
+// is abandoned.
 type Pull struct {
 	mu       sync.Mutex
-	roster   *crypto.Roster
-	scratch  *dag.DAG
-	got      []*block.Block
+	dag      *dag.DAG
+	start    int // dag.Len() at creation: the pull's blocks are the suffix from here
 	limit    int
 	streamed uint64 // blocks decoded off the stream (duplicates included)
 	claimed  uint64 // server's frameDone count
@@ -620,77 +621,33 @@ type Pull struct {
 
 var _ transport.CallSink = (*Pull)(nil)
 
-// NewPull prepares a pull for a client already holding the given blocks
-// (topological order, as recovered from a store; nil for a fresh
-// replica). maxBlocks caps accepted blocks; 0 means DefaultMaxBlocks.
-func NewPull(roster *crypto.Roster, have []*block.Block, maxBlocks int) (*Pull, error) {
-	return newPull(roster, nil, have, maxBlocks, false)
-}
-
-// NewPullTrusted is NewPull for a seed the caller already validated in
-// full — blocks read back from its own DAG or store. Seeding skips the
-// per-block Ed25519 verification (structural checks still run), which is
-// what keeps a frequent follower's delta pulls O(delta) in signature
-// work instead of O(DAG). Blocks received from the peer are validated
-// exactly as in NewPull; only the seed is trusted.
-func NewPullTrusted(roster *crypto.Roster, have []*block.Block, maxBlocks int) (*Pull, error) {
-	return newPull(roster, nil, have, maxBlocks, true)
-}
-
-// NewPullFrom is NewPullTrusted for a client resuming above pruned
-// history: the scratch DAG is seeded with the base stand-ins before the
-// held blocks, so streamed blocks whose predecessors were pruned locally
-// still validate (parent rule against the base, predecessor closure via
-// the snapshot certificate's vouching) and the request's watermarks
-// start at the horizon instead of zero.
-func NewPullFrom(roster *crypto.Roster, base []dag.Base, have []*block.Block, maxBlocks int) (*Pull, error) {
-	return newPull(roster, base, have, maxBlocks, true)
-}
-
-func newPull(roster *crypto.Roster, base []dag.Base, have []*block.Block, maxBlocks int, trustSeed bool) (*Pull, error) {
-	if roster == nil {
-		return nil, errors.New("syncsvc: pull needs a roster")
-	}
-	scratch := dag.New(roster)
-	if err := scratch.SeedBase(base); err != nil {
-		return nil, fmt.Errorf("syncsvc: seed base: %w", err)
-	}
-	for _, b := range have {
-		var err error
-		if trustSeed {
-			err = scratch.InsertVerified(b)
-		} else {
-			err = scratch.Insert(b)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("syncsvc: seed block %v: %w", b.Ref(), err)
-		}
-	}
+// NewPull prepares a pull that extends d — a validated DAG the caller
+// owns: recovered by store.Open, a clone of a live server's DAG, or empty
+// for a fresh replica. The roster, the pruned-history base, and the
+// request's watermarks all come from d. maxBlocks caps accepted blocks;
+// 0 means DefaultMaxBlocks. Until the pull settles (or Fetch abandons
+// it), d must not be touched by anyone else.
+func NewPull(d *dag.DAG, maxBlocks int) *Pull {
 	if maxBlocks <= 0 {
 		maxBlocks = DefaultMaxBlocks
 	}
-	return &Pull{
-		roster:  roster,
-		scratch: scratch,
-		limit:   maxBlocks,
-		notify:  make(chan struct{}),
-	}, nil
+	return &Pull{dag: d, start: d.Len(), limit: maxBlocks, notify: make(chan struct{})}
 }
 
-// Request encodes the catch-up request matching the seeded blocks (and
-// the seeded base horizon, for a pull resuming above pruned history).
+// Request encodes the catch-up request matching the DAG's blocks (and its
+// base horizon, for a pull resuming above pruned history).
 func (p *Pull) Request() []byte {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return EncodeRequest(DAGWatermarks(p.scratch))
+	return EncodeRequest(DAGWatermarks(p.dag))
 }
 
-// OnFrame implements transport.CallSink: decode and validate one batch.
+// OnFrame implements transport.CallSink: decode and admit one batch.
 func (p *Pull) OnFrame(frame []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.done || p.err != nil {
-		return // already failed; drain silently
+		return // already failed or abandoned; drain silently
 	}
 	if err := p.consume(frame); err != nil {
 		p.err = err
@@ -702,11 +659,6 @@ func (p *Pull) consume(frame []byte) error {
 	r := wire.NewReader(frame)
 	switch r.Byte() {
 	case frameBlocks:
-		// Decode the whole frame first, then pay the Ed25519 checks for
-		// the unseen blocks in one parallel batch, then apply serially in
-		// stream order. The outcome — accepted prefix, first error, every
-		// counter — is identical to the old one-block-at-a-time loop;
-		// only the signature work is amortized across cores.
 		n := r.Count(maxBatch)
 		blocks := make([]*block.Block, 0, n)
 		var decodeErr error
@@ -717,51 +669,23 @@ func (p *Pull) consume(frame []byte) error {
 			}
 			b, err := block.Decode(enc)
 			if err != nil {
-				// The decoded prefix is still applied below before the
-				// error surfaces, matching the serial loop's behavior.
+				// The decoded prefix is still admitted before the error
+				// surfaces: every block of it is checked like any other.
 				decodeErr = fmt.Errorf("syncsvc: stream block: %w", err)
 				break
 			}
 			blocks = append(blocks, b)
 		}
-		var candidates []*block.Block
-		for _, b := range blocks {
-			if !p.scratch.Contains(b.Ref()) && p.roster.Contains(b.Builder) {
-				candidates = append(candidates, b)
-			}
+		if p.dag.Len()-p.start+len(blocks) > p.limit {
+			return fmt.Errorf("syncsvc: stream exceeds %d blocks", p.limit)
 		}
-		verdicts := make(map[block.Ref]bool, len(candidates))
-		if len(candidates) > 0 {
-			ok := block.VerifyBatch(p.roster, candidates, 0)
-			for i, b := range candidates {
-				verdicts[b.Ref()] = ok[i]
-			}
+		// The serving peer is untrusted: nothing it sends is accepted on
+		// faith. Admit checks every unseen block exactly as the live DAG
+		// would, and stops at the first invalid one.
+		if _, err := p.dag.Admit(blocks); err != nil {
+			return fmt.Errorf("syncsvc: stream block rejected: %w", err)
 		}
-		for _, b := range blocks {
-			p.streamed++
-			if p.scratch.Contains(b.Ref()) {
-				continue // duplicate of a held or earlier block
-			}
-			if len(p.got) >= p.limit {
-				return fmt.Errorf("syncsvc: stream exceeds %d blocks", p.limit)
-			}
-			// Full validation — signature (prechecked above), parent
-			// rule, predecessor closure — exactly what the live DAG
-			// would demand. The serving peer is untrusted; nothing it
-			// sends is accepted on faith. A block that failed the batch
-			// precheck retakes the serial path so the rejection carries
-			// the same error the old loop produced.
-			var err error
-			if verdicts[b.Ref()] {
-				err = p.scratch.InsertVerified(b)
-			} else {
-				err = p.scratch.Insert(b)
-			}
-			if err != nil {
-				return fmt.Errorf("syncsvc: stream block %v rejected: %w", b.Ref(), err)
-			}
-			p.got = append(p.got, b)
-		}
+		p.streamed += uint64(len(blocks))
 		if decodeErr != nil {
 			return decodeErr
 		}
@@ -779,6 +703,15 @@ func (p *Pull) consume(frame []byte) error {
 	default:
 		return errors.New("syncsvc: unknown stream frame")
 	}
+}
+
+// abandon detaches the pull from its DAG: frames a cancelled call still
+// delivers are dropped, so the caller owns the DAG again once abandon
+// returns (an in-progress frame finishes first, under the lock).
+func (p *Pull) abandon() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.done = true
 }
 
 // normalizeRemoteErr re-sentinels errors that crossed a transport as
@@ -840,22 +773,21 @@ func (p *Pull) Wait(timeout time.Duration) bool {
 	}
 }
 
-// Result returns the validated blocks received so far (in a topological
-// order extending the seed) and the stream's terminal error, if any. The
-// blocks are genuine whatever the error: each passed full validation, so
-// a partial pull is safely usable and the remainder can arrive via FWD.
+// Result returns the blocks the pull admitted so far (the DAG's suffix
+// since NewPull, in a topological order) and the stream's terminal error,
+// if any. The blocks are genuine whatever the error: each passed full
+// validation, so a partial pull is safely usable and the remainder can
+// arrive via FWD.
 func (p *Pull) Result() ([]*block.Block, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.got, p.err
+	return p.dag.Since(p.start), p.err
 }
 
 // FetchConfig parameterizes the blocking catch-up helper.
 type FetchConfig struct {
 	// Transport issues the calls. Required.
 	Transport transport.Transport
-	// Roster validates every streamed block. Required.
-	Roster *crypto.Roster
 	// Peers are tried in order; a peer that fails or truncates is
 	// retried (resuming from what was already validated) before moving
 	// on. Required, at least one.
@@ -866,28 +798,23 @@ type FetchConfig struct {
 	Timeout time.Duration
 	// MaxBlocks caps accepted blocks per pull (0 = DefaultMaxBlocks).
 	MaxBlocks int
-	// Base, if non-empty, seeds every pull's validation DAG with a
-	// pruned-history stand-in table (dag.Base): a node restored from a
-	// certified snapshot fetches only the delta above its horizon, and
-	// streamed blocks whose parents live below it still validate. The
-	// have blocks must sit above this base.
-	Base []dag.Base
 }
 
 // Fetch runs bulk catch-up to completion against the configured peers,
 // blocking the caller (node runtime startup uses it; simulator code
-// drives Pull directly instead). It returns every block validated across
-// all attempts — resuming, not restarting, after a mid-stream failure:
-// each retry advances the watermarks past what earlier attempts already
-// delivered. A non-nil error reports that no peer completed a clean
-// stream; the returned blocks are still valid and the caller should fall
-// back to FWD for the remainder.
-func Fetch(cfg FetchConfig, have []*block.Block) ([]*block.Block, error) {
+// drives Pull directly instead). Every attempt extends d, the caller's
+// validated DAG (roster and pruned-history base included), so a retry
+// resumes rather than restarts: its watermarks already cover what
+// earlier attempts admitted, and nothing is verified twice. A timed-out
+// attempt is abandoned before the next one starts, so its late frames
+// cannot touch d. Fetch returns the blocks it admitted, in order. A
+// non-nil error reports that no peer completed a clean stream; the
+// returned blocks are still valid and the caller should fall back to FWD
+// for the remainder.
+func Fetch(cfg FetchConfig, d *dag.DAG) ([]*block.Block, error) {
 	switch {
 	case cfg.Transport == nil:
 		return nil, errors.New("syncsvc: fetch needs a Transport")
-	case cfg.Roster == nil:
-		return nil, errors.New("syncsvc: fetch needs a Roster")
 	case len(cfg.Peers) == 0:
 		return nil, errors.New("syncsvc: fetch needs at least one peer")
 	}
@@ -899,54 +826,24 @@ func Fetch(cfg FetchConfig, have []*block.Block) ([]*block.Block, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-
-	var (
-		all     []*block.Block
-		lastErr error
-	)
-	// Copy: resuming appends to the seed, and the caller's slice (often
-	// store.Store.Blocks()) is shared.
-	seed := append([]*block.Block(nil), have...)
+	start := d.Len()
+	var lastErr error
 	for _, peer := range cfg.Peers {
 		for a := 0; a < attempts; a++ {
-			var (
-				pull *Pull
-				err  error
-			)
-			if len(cfg.Base) > 0 {
-				// Base-seeded joins trust the seed: the store already
-				// revalidated the have blocks against the roster on
-				// recovery, and the base itself is covered by the
-				// certified snapshot.
-				pull, err = NewPullFrom(cfg.Roster, cfg.Base, seed, cfg.MaxBlocks)
-			} else {
-				pull, err = NewPull(cfg.Roster, seed, cfg.MaxBlocks)
-			}
-			if err != nil {
-				return all, err
-			}
+			pull := NewPull(d, cfg.MaxBlocks)
 			cancel := cfg.Transport.Call(peer, transport.ChanSync, pull.Request(), pull)
-			timedOut := !pull.Wait(timeout)
-			if timedOut {
+			if !pull.Wait(timeout) {
 				cancel()
-			}
-			// Harvest even after a timeout or failure: every block in
-			// Result passed full validation, and keeping it is what
-			// makes the next attempt a resume (advanced watermarks)
-			// instead of a from-zero restart — a slow link that can
-			// move 90% of the backlog per attempt still converges.
-			got, err := pull.Result()
-			all = append(all, got...)
-			seed = append(seed, got...)
-			if timedOut {
-				lastErr = fmt.Errorf("syncsvc: peer %v: attempt timed out after %d blocks", peer, len(got))
+				pull.abandon()
+				lastErr = fmt.Errorf("syncsvc: peer %v: attempt timed out after %d blocks", peer, d.Len()-pull.start)
 				continue
 			}
+			_, err := pull.Result()
 			if err == nil {
-				return all, nil
+				return d.Since(start), nil
 			}
 			lastErr = fmt.Errorf("syncsvc: peer %v: %w", peer, err)
 		}
 	}
-	return all, lastErr
+	return d.Since(start), lastErr
 }

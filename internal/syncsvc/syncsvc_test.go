@@ -60,6 +60,17 @@ func storeWith(t testing.TB, dir string, roster *crypto.Roster, blocks []*block.
 	return st
 }
 
+// admitted returns a validated DAG holding blocks — what a client
+// recovered from its own store.
+func admitted(t testing.TB, roster *crypto.Roster, blocks []*block.Block) *dag.DAG {
+	t.Helper()
+	d := dag.New(roster)
+	if _, err := d.Admit(blocks); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // TestPullOverSimnet: a fresh client pulls a served store in bulk and
 // ends with the full, validated chain.
 func TestPullOverSimnet(t *testing.T) {
@@ -70,10 +81,7 @@ func TestPullOverSimnet(t *testing.T) {
 	net := simnet.New(simnet.WithSeed(4))
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: st, ChunkBytes: 4 << 10})
 
-	pull, err := syncsvc.NewPull(roster, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pull := syncsvc.NewPull(dag.New(roster), 0)
 	net.Transport(1).Call(0, transport.ChanSync, pull.Request(), pull)
 	if !net.RunUntil(pull.Done) {
 		t.Fatal("stream did not finish")
@@ -110,11 +118,7 @@ func TestPullSkipsHeldPrefix(t *testing.T) {
 	net := simnet.New(simnet.WithSeed(4))
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: st})
 
-	have := blocks[:60]
-	pull, err := syncsvc.NewPull(roster, have, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pull := syncsvc.NewPull(admitted(t, roster, blocks[:60]), 0)
 	net.Transport(1).Call(0, transport.ChanSync, pull.Request(), pull)
 	if !net.RunUntil(pull.Done) {
 		t.Fatal("stream did not finish")
@@ -157,10 +161,7 @@ func TestPullRejectsTamperedBlock(t *testing.T) {
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{
 		Source: func() ([]*block.Block, error) { return tampered, nil },
 	})
-	pull, err := syncsvc.NewPull(roster, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pull := syncsvc.NewPull(dag.New(roster), 0)
 	net.Transport(1).Call(0, transport.ChanSync, pull.Request(), pull)
 	if !net.RunUntil(pull.Done) {
 		t.Fatal("stream did not finish")
@@ -191,10 +192,7 @@ func TestPullRejectsOutOfOrderStream(t *testing.T) {
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{
 		Source: func() ([]*block.Block, error) { return scrambled, nil },
 	})
-	pull, err := syncsvc.NewPull(roster, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pull := syncsvc.NewPull(dag.New(roster), 0)
 	net.Transport(1).Call(0, transport.ChanSync, pull.Request(), pull)
 	net.RunUntil(pull.Done)
 	if _, perr := pull.Result(); perr == nil {
@@ -206,10 +204,7 @@ func TestPullRejectsOutOfOrderStream(t *testing.T) {
 // the protocol's done frame is reported, so a quietly truncating peer
 // cannot masquerade as a complete sync.
 func TestPullTruncatedStreamFlagged(t *testing.T) {
-	pull, err := syncsvc.NewPull(mustRoster(t), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pull := syncsvc.NewPull(dag.New(mustRoster(t)), 0)
 	pull.OnDone(nil) // transport-clean close, no done frame seen
 	if _, perr := pull.Result(); perr == nil {
 		t.Fatal("truncated stream not flagged")
@@ -299,11 +294,10 @@ func TestFetchOverTCPWithMidStreamDeathResumes(t *testing.T) {
 
 	got, err := syncsvc.Fetch(syncsvc.FetchConfig{
 		Transport:       client,
-		Roster:          roster,
 		Peers:           []types.ServerID{0, 1},
 		AttemptsPerPeer: 1,
 		Timeout:         10 * time.Second,
-	}, nil)
+	}, dag.New(roster))
 	if err != nil {
 		t.Fatalf("fetch failed despite a healthy second peer: %v", err)
 	}
@@ -363,11 +357,10 @@ func TestFetchAllPeersFailing(t *testing.T) {
 	}
 	got, ferr := syncsvc.Fetch(syncsvc.FetchConfig{
 		Transport:       client,
-		Roster:          roster,
 		Peers:           []types.ServerID{0},
 		AttemptsPerPeer: 1,
 		Timeout:         5 * time.Second,
-	}, nil)
+	}, dag.New(roster))
 	if ferr == nil {
 		t.Fatal("truncating-only peer set reported success")
 	}

@@ -322,20 +322,20 @@ func TestAuthStaleNonceRejected(t *testing.T) {
 		if err := wire.WriteFrame(conn, w.Bytes()); err != nil {
 			t.Fatal(err)
 		}
-		// An accepted stream stays open (the next read blocks until our
-		// payload); a rejected one is closed by the listener.
-		payload := wire.NewWriter(8)
-		payload.Byte(byte(transport.ChanGossip))
-		_ = wire.WriteFrame(conn, payload.Bytes())
-		one := make([]byte, 1)
-		_ = conn.SetReadDeadline(time.Now().Add(250 * time.Millisecond))
-		_, rerr := conn.Read(one)
-		if rerr == nil {
-			t.Fatal("listener wrote unexpected bytes on a stream connection")
+		// The listener answers the proof with its verdict: accept, or a
+		// refusal naming the failed authentication.
+		verdict, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("no handshake verdict: %v", err)
 		}
-		var nerr net.Error
-		timedOut := errors.As(rerr, &nerr) && nerr.Timeout()
-		return listenerNonce, timedOut // EOF/reset = rejected, timeout = still open
+		switch {
+		case len(verdict) == 1 && verdict[0] == tagAccept:
+			return listenerNonce, true
+		case len(verdict) > 0 && verdict[0] == tagError && string(verdict[1:]) == transport.ErrAuthFailed.Error():
+			return listenerNonce, false
+		}
+		t.Fatalf("unexpected handshake verdict %q", verdict)
+		return nil, false
 	}
 
 	// A correct proof over the fresh nonce is accepted; harvest the

@@ -29,7 +29,14 @@
 // for the peer it dialed, then returns its own proof over the listener's
 // nonce. Only after both proofs verify does any payload byte get parsed:
 // an unproven, misattributed, or non-roster connection is refused at the
-// handshake and counted in Rejections/AuthRejections. Without Auth the
+// handshake and counted in Rejections/AuthRejections.
+//
+// Every handshake, authenticated or not, ends with the listener's
+// verdict frame: accept, or a tagged refusal (version mismatch, failed
+// authentication, banned peer). The dialer sends no payload before it
+// has read the verdict, so a refused dialer always learns why — it never
+// races the listener's close with a payload write and sees a broken pipe
+// instead of ErrAuthFailed or ErrVersionMismatch. Without Auth the
 // transport trusts the claimed ServerID — acceptable for tests and
 // closed networks because authenticity of every block is still
 // established by its signature at the gossip layer, but a production
@@ -59,7 +66,8 @@ const (
 )
 
 // Frame tags: data/end/error on call connections, challenge/proof during
-// the authenticated handshake (both kinds).
+// the authenticated handshake, accept/error as the handshake verdict (both
+// kinds).
 const (
 	tagData  byte = 1
 	tagEnd   byte = 2
@@ -67,9 +75,12 @@ const (
 	// tagAuthChallenge is the listener's handshake answer: its identity,
 	// its fresh nonce, and its proof over the dialer's nonce.
 	tagAuthChallenge byte = 4
-	// tagAuthProof is the dialer's closing handshake frame: its proof
-	// over the listener's nonce.
+	// tagAuthProof is the dialer's last handshake frame: its proof over
+	// the listener's nonce.
 	tagAuthProof byte = 5
+	// tagAccept is the listener's verdict admitting the connection; a
+	// refusal is a tagError frame instead.
+	tagAccept byte = 6
 )
 
 // Config parameterizes a TCP transport.
@@ -365,8 +376,7 @@ func (t *Transport) runCall(ctx context.Context, cancel context.CancelFunc, to t
 		}
 		switch {
 		case errors.Is(err, transport.ErrAuthFailed),
-			errors.Is(err, transport.ErrVersionMismatch),
-			errors.Is(err, transport.ErrNoHandler):
+			errors.Is(err, transport.ErrVersionMismatch):
 			sink.OnDone(err)
 		default:
 			sink.OnDone(fmt.Errorf("%w: handshake: %v", transport.ErrUnreachable, err))
@@ -383,9 +393,7 @@ func (t *Transport) runCall(ctx context.Context, cancel context.CancelFunc, to t
 		deadline()
 		frame, err := wire.ReadFrame(conn)
 		if err != nil {
-			// EOF before an end/error tag: the peer died mid-stream
-			// or rejected the handshake (version mismatch closes the
-			// connection without a frame).
+			// EOF before an end/error tag: the peer died mid-stream.
 			sink.OnDone(fmt.Errorf("%w: %v", transport.ErrStreamLost, err))
 			return
 		}
@@ -497,17 +505,16 @@ func newNonce() ([]byte, error) {
 }
 
 // handshake runs the dialer side of connection setup: write the
-// identification frame and — with authentication configured — complete
-// the mutual challenge–response before any payload crosses the
-// connection. peer is the identity this transport dialed; the listener
-// must prove exactly that identity or the connection is abandoned. The
-// whole exchange runs under HandshakeTimeout; the deadline is cleared on
-// success.
+// identification frame, with authentication configured complete the
+// mutual challenge–response, then wait for the listener's verdict before
+// any payload crosses the connection. peer is the identity this transport
+// dialed; the listener must prove exactly that identity or the connection
+// is abandoned. The whole exchange runs under HandshakeTimeout; the
+// deadline is cleared on success.
 //
-// Errors wrapping transport.ErrAuthFailed, ErrVersionMismatch, or
-// ErrNoHandler carry the listener's explicit refusal (call connections
-// only — stream listeners refuse by closing); anything else is a
-// transport-level failure the caller treats like an unreachable peer.
+// Errors wrapping transport.ErrAuthFailed or ErrVersionMismatch carry the
+// listener's explicit refusal; anything else is a transport-level failure
+// the caller treats like an unreachable peer.
 func (t *Transport) handshake(conn net.Conn, peer types.ServerID, kind byte, ch transport.Channel) error {
 	_ = conn.SetDeadline(time.Now().Add(t.cfg.HandshakeTimeout))
 	authed := t.cfg.Auth != nil
@@ -534,11 +541,29 @@ func (t *Transport) handshake(conn net.Conn, peer types.ServerID, kind byte, ch 
 	if err := wire.WriteFrame(conn, hello.Bytes()); err != nil {
 		return fmt.Errorf("identification: %w", err)
 	}
-	if !authed {
-		_ = conn.SetDeadline(time.Time{})
-		return nil
+	if authed {
+		if err := t.authenticate(conn, peer, kind, ch, nonce); err != nil {
+			return err
+		}
 	}
+	verdict, err := wire.ReadFrame(conn)
+	if err != nil {
+		return fmt.Errorf("no handshake verdict: %w", err)
+	}
+	switch {
+	case len(verdict) == 1 && verdict[0] == tagAccept:
+	case len(verdict) > 0 && verdict[0] == tagError:
+		return decodeCallError(verdict[1:])
+	default:
+		return errors.New("tcpnet: malformed handshake verdict")
+	}
+	_ = conn.SetDeadline(time.Time{})
+	return nil
+}
 
+// authenticate runs the dialer's half of the challenge–response: check
+// the listener's proof over our nonce, then prove ourselves over its.
+func (t *Transport) authenticate(conn net.Conn, peer types.ServerID, kind byte, ch transport.Channel, nonce []byte) error {
 	frame, err := wire.ReadFrame(conn)
 	if err != nil {
 		// The listener closed without answering: it refused us (version
@@ -575,7 +600,6 @@ func (t *Transport) handshake(conn net.Conn, peer types.ServerID, kind byte, ch 
 	if err := wire.WriteFrame(conn, w.Bytes()); err != nil {
 		return fmt.Errorf("%w: proof write: %v", transport.ErrAuthFailed, err)
 	}
-	_ = conn.SetDeadline(time.Time{})
 	return nil
 }
 
@@ -662,15 +686,10 @@ func (t *Transport) runReader(conn net.Conn) {
 		// authentication exchange: there is no point proving identities
 		// over a connection that cannot proceed, and the mismatch error
 		// must win over ErrAuthFailed so operators fix the right thing.
-		// Call connections get an explicit error frame (the client is
-		// reading, and its hello prefix through the kind byte is
-		// stable); stream senders observe the close and back off into
-		// their reconnect loop.
+		// The refusal is the handshake verdict the dialer is waiting
+		// for.
 		t.reject()
-		_ = r.Uint16() // self
-		if r.Byte() == kindCall && r.Err() == nil {
-			t.writeCallError(conn, transport.ErrVersionMismatch)
-		}
+		t.writeCallError(conn, transport.ErrVersionMismatch)
 		return
 	}
 	from := types.ServerID(r.Uint16())
@@ -694,11 +713,7 @@ func (t *Transport) runReader(conn net.Conn) {
 		// claim itself is unproven, but repeated failures from a roster
 		// address are exactly the signal quarantine exists for.
 		t.cfg.Scores.Penalize(from, peerscore.AuthFailure)
-		if kind == kindCall {
-			// The call client is in a read loop; tell it explicitly so
-			// it fails fast instead of timing out.
-			t.writeCallError(conn, transport.ErrAuthFailed)
-		}
+		t.writeCallError(conn, transport.ErrAuthFailed)
 		return
 	}
 	if t.cfg.Scores.Banned(from) {
@@ -706,9 +721,10 @@ func (t *Transport) runReader(conn net.Conn) {
 		// after the handshake so the verdict applies to the proven
 		// identity, not a spoofable claim.
 		t.rejectBan()
-		if kind == kindCall {
-			t.writeCallError(conn, transport.ErrUnreachable)
-		}
+		t.writeCallError(conn, transport.ErrUnreachable)
+		return
+	}
+	if err := wire.WriteFrame(conn, []byte{tagAccept}); err != nil {
 		return
 	}
 	_ = conn.SetDeadline(time.Time{})
@@ -773,7 +789,8 @@ func (t *Transport) serveCall(conn net.Conn, from types.ServerID, ch transport.C
 	st.Close(errors.New("tcpnet: handler returned without closing the stream"))
 }
 
-// writeCallError best-effort sends a tagged error frame.
+// writeCallError best-effort sends a tagged error frame: a call's
+// terminal error, or a handshake's refusal verdict (both kinds).
 func (t *Transport) writeCallError(conn net.Conn, err error) {
 	msg := err.Error()
 	buf := make([]byte, 0, 1+len(msg))

@@ -312,8 +312,8 @@ func TestVersionMismatchRejected(t *testing.T) {
 		t.Fatalf("call error = %v, want ErrVersionMismatch", res.err)
 	}
 
-	// A raw connection with a mismatched version must be closed without
-	// any response for stream kind.
+	// A raw stream connection with a mismatched version gets the
+	// refusal verdict naming the mismatch, and nothing after it.
 	conn, err := net.Dial("tcp", tb.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -327,8 +327,13 @@ func TestVersionMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	verdict, err := wire.ReadFrame(conn)
+	if err != nil || len(verdict) == 0 || verdict[0] != tagError ||
+		string(verdict[1:]) != transport.ErrVersionMismatch.Error() {
+		t.Fatalf("verdict = %q, %v; want a version-mismatch refusal", verdict, err)
+	}
 	if _, err := wire.ReadFrame(conn); err == nil {
-		t.Fatal("rejected connection produced a frame")
+		t.Fatal("rejected connection produced a frame after its verdict")
 	}
 }
 

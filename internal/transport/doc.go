@@ -57,7 +57,9 @@
 //     peer it dialed (not merely the identity the listener claims), then
 //     returns its signature over the listener's nonce.
 //  4. The listener verifies against the roster's key for the claimed
-//     dialer identity. Only then is any payload parsed.
+//     dialer identity and answers with its verdict — accept or a tagged
+//     refusal. The dialer sends no payload before it reads the verdict,
+//     so a refused dialer learns the reason instead of racing the close.
 //
 // Binding the signature to a fresh nonce makes every proof single-use —
 // a recorded handshake replays as garbage — and binding it to the

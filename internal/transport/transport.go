@@ -15,9 +15,11 @@ import (
 // channel layout can never be misparsed as protocol traffic.
 //
 // Version 2 extended the identification frame with the authentication
-// flag and handshake nonce (see Authenticator); version 1 binaries are
-// refused at the handshake.
-const Version uint16 = 2
+// flag and handshake nonce (see Authenticator); version 3 ends every
+// handshake with the listener's verdict frame, which the dialer awaits
+// before sending payload. Binaries of other versions are refused at the
+// handshake.
+const Version uint16 = 3
 
 // Channel identifies one logical stream of payloads multiplexed over a
 // single peer link.
