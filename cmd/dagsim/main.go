@@ -21,6 +21,7 @@ import (
 	"blockdag/internal/chaos"
 	"blockdag/internal/cluster"
 	"blockdag/internal/crypto"
+	"blockdag/internal/node"
 	"blockdag/internal/protocol"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/protocols/courier"
@@ -210,9 +211,9 @@ func run() error {
 			magg.submitted, magg.accepted, magg.drained, magg.dups, magg.invalid, magg.overflow)
 	}
 	if *follow > 0 {
-		var fagg cluster.FollowStats
+		var fagg node.FollowReport
 		for _, i := range c.CorrectServers() {
-			fs := c.FollowStats(i)
+			fs := c.FollowReport(i)
 			fagg.Polls += fs.Polls
 			fagg.Deltas += fs.Deltas
 			fagg.Blocks += fs.Blocks

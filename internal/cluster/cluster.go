@@ -8,10 +8,15 @@
 // examples. Byzantine servers are modeled by leaving their slot without a
 // correct server and driving hand-crafted (but validly signed) blocks
 // through the test's own logic via Seal and Send.
+//
+// Every correct slot runs its server through a node.Replica — the same
+// deterministic core the production runtime drives — so recovery
+// wiring, the live follower and the checkpoint trigger are the node's
+// own code, here paced by the simulator's virtual clock and fed from its
+// event loop.
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -74,17 +79,18 @@ type Options struct {
 	SyncEvery time.Duration
 	SyncBurst int
 
-	// FollowEvery enables the live-follower loop on every correct slot:
-	// each server periodically (per the simulated clock) sends a
-	// watermark-exchange query to a rotating peer on the sync channel
-	// and, when the peer's vector advertises blocks the local DAG lacks,
-	// pulls exactly the missing suffix through the validated delta
-	// stream — converging a laggard without waiting for per-block FWD
-	// round trips. Polls, streams, and absorptions all ride the
-	// simulator's event loop, so runs stay deterministic. With
-	// FollowEvery set, every correct slot also serves the sync channel
-	// (from its store when durable, else straight from its DAG), so
-	// non-durable clusters can follow too. 0 disables.
+	// FollowEvery enables the live follower (node.Config.FollowEvery) on
+	// every correct slot: each server polls a rotating peer (every other
+	// slot, in ID order) once FollowEvery of virtual time has passed since
+	// its last poll (node.Replica.PollIfDue, checked every round) and,
+	// when the peer's vector advertises blocks the local DAG lacks, pulls
+	// exactly the missing suffix through the validated delta stream —
+	// converging a laggard without waiting for per-block FWD round trips.
+	// Polls, streams, and absorptions all ride the simulator's event
+	// loop, so runs stay deterministic. With FollowEvery set, every
+	// correct slot also serves the sync channel (from its store when
+	// durable, else straight from its DAG), so non-durable clusters can
+	// follow too. 0 disables.
 	FollowEvery time.Duration
 
 	// Accountability equips every correct slot with the evidence and
@@ -163,11 +169,10 @@ type Options struct {
 	// rotation and compaction.
 	StoreSegmentSize int64
 	// CheckpointEverySegments, with StoreDir set, applies the automatic
-	// checkpoint policy after every dissemination round: a server whose
-	// WAL has at least this many segments snapshots and compacts its
-	// store — mirroring node.Config.CheckpointEverySegments on the
-	// simulator, so catch-up servers have a fresh snapshot to stream.
-	// 0 disables.
+	// checkpoint policy (node.Config.CheckpointEverySegments) at every
+	// round's tick: a server whose WAL has at least this many segments
+	// snapshots and compacts its store, so catch-up servers have a fresh
+	// snapshot to stream. 0 disables.
 	CheckpointEverySegments int
 }
 
@@ -205,36 +210,12 @@ type Cluster struct {
 	opts     Options
 	interval time.Duration
 	inds     [][]Indication
-	follow   []followState
+	// reps holds each correct slot's replica core (nil for byzantine and
+	// crashed slots).
+	reps []*node.Replica
 	// loadSeq numbers each slot's synthetic requests across rounds and
 	// recoveries, keeping LoadPerRound traffic unique and reproducible.
 	loadSeq []uint64
-}
-
-// followState is one slot's live-follower bookkeeping.
-type followState struct {
-	// lastPoll is the virtual time of the last poll; the zero value
-	// means never polled, so the first poll fires once FollowEvery of
-	// virtual time has elapsed from the simulation's start.
-	lastPoll time.Duration
-	nextPeer int  // rotation cursor over the other slots
-	inFlight bool // a poll (query or delta) is outstanding
-	stats    FollowStats
-}
-
-// FollowStats counts one slot's live-follower activity.
-type FollowStats struct {
-	// Polls is the number of watermark-exchange queries issued.
-	Polls int
-	// Deltas is the number of delta pulls opened (peer was ahead).
-	Deltas int
-	// Blocks is the number of validated blocks absorbed via pulls.
-	Blocks int
-	// Throttled counts polls refused by a peer's admission policy.
-	Throttled int
-	// Errors counts polls and pulls that failed for any other reason
-	// (unreachable peer, no handler, validation rejection, ...).
-	Errors int
 }
 
 // New builds a cluster per the options.
@@ -312,59 +293,22 @@ func New(opts Options) (*Cluster, error) {
 		opts:     opts,
 		interval: opts.Interval,
 		inds:     make([][]Indication, opts.N),
-		follow:   make([]followState, opts.N),
+		reps:     make([]*node.Replica, opts.N),
 		loadSeq:  make([]uint64, opts.N),
 	}
 	for i := 0; i < opts.N; i++ {
 		if byz[i] {
 			continue
 		}
-		id := types.ServerID(i)
-		m := &metrics.Metrics{}
-		idx := i
 		st, err := c.openStore(i)
 		if err != nil {
 			return nil, err
 		}
-		broker := c.newBroker(i)
-		cfg := core.Config{
-			Roster:        cryptoRoster,
-			Signer:        signers[i],
-			Protocol:      opts.Protocol,
-			Transport:     net.Transport(id),
-			Clock:         net.Now,
-			Metrics:       m,
-			MaxBatch:      opts.MaxBatch,
-			VerifyWorkers: opts.VerifyWorkers,
-			Mempool:       c.newPool(i),
-			OnIndication: func(label types.Label, value []byte) {
-				c.inds[idx] = append(c.inds[idx], Indication{
-					Server: id, Label: label, Value: value,
-				})
-				broker.Publish(label, value)
-			},
-			RetireInstances:    opts.RetireInstances,
-			CompressReferences: opts.CompressReferences,
-		}
+		var d *dag.DAG
 		if st != nil {
-			cfg.OnPersist = st.PersistSink(id)
+			d = st.TakeDAG()
 		}
-		c.wireAccountability(i, &cfg, st)
-		srv, err := core.NewServer(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: server %d: %w", i, err)
-		}
-		if st != nil {
-			if err := srv.Restore(st.TakeDAG()); err != nil {
-				return nil, fmt.Errorf("cluster: server %d: %w", i, err)
-			}
-			srv.SeedEvidence(st.Evidence())
-		}
-		c.register(i, srv, st)
-		c.Servers[i] = srv
-		c.Metrics[i] = m
-		c.Stores[i] = st
-		if err := c.openGateway(i); err != nil {
+		if err := c.startServer(i, opts.Protocol, d, opts.CompressReferences, st); err != nil {
 			return nil, err
 		}
 	}
@@ -454,26 +398,23 @@ func (c *Cluster) closeGateway(slot int) {
 // the live-follower loop — a catch-up server on the sync channel, so any
 // peer can bulk-sync or follow from this slot. Durable slots stream
 // their store; follower-only slots stream straight from the DAG (both
-// safe on the event loop). Watermark queries are answered from the DAG
-// in either case, the simulator's stand-in for the node runtime's
-// incrementally tracked vector. The catch-up server runs under the
-// hardening policy (in-flight cap, optional token bucket on the
-// simulated clock), exactly as a production node would.
-func (c *Cluster) register(slot int, srv *core.Server, st *store.Store) {
+// safe on the event loop). Watermark queries are answered from the
+// replica's tracker, exactly as a production node answers them. The
+// catch-up server runs under the hardening policy (in-flight cap,
+// optional token bucket on the simulated clock).
+func (c *Cluster) register(slot int, rep *node.Replica, srv *core.Server, st *store.Store) {
 	id := types.ServerID(slot)
 	c.Net.Register(id, transport.ChanGossip, srv)
 	if st == nil && c.opts.FollowEvery <= 0 {
 		return
 	}
 	sync := &syncsvc.Server{
-		Store:  st,
-		Every:  c.opts.SyncEvery,
-		Burst:  c.opts.SyncBurst,
-		Clock:  c.Net.Now,
-		Scores: c.Scorers[slot],
-		Watermarks: func() []syncsvc.Watermark {
-			return syncsvc.DAGWatermarks(srv.DAG())
-		},
+		Store:      st,
+		Every:      c.opts.SyncEvery,
+		Burst:      c.opts.SyncBurst,
+		Clock:      c.Net.Now,
+		Scores:     c.Scorers[slot],
+		Watermarks: rep.Watermarks,
 	}
 	if st == nil {
 		sync.Source = func() ([]*block.Block, error) {
@@ -575,8 +516,9 @@ func (c *Cluster) injectLoad(slot int) {
 }
 
 // RunRounds schedules `rounds` dissemination rounds — every correct server
-// ticks its timers and disseminates once per round, staggered to break
-// symmetry — then runs the network to quiescence.
+// ticks its replica (FWD retries, checkpoint policy), disseminates, and
+// polls a peer if its follow period is due, once per round, staggered to
+// break symmetry — then runs the network to quiescence.
 func (c *Cluster) RunRounds(rounds int) error {
 	for r := 0; r < rounds; r++ {
 		at := time.Duration(r) * c.interval
@@ -584,19 +526,18 @@ func (c *Cluster) RunRounds(rounds int) error {
 			if srv == nil {
 				continue
 			}
-			srv := srv
+			srv, rep := srv, c.reps[i]
 			slot := i
 			stagger := time.Duration(i) * time.Millisecond
 			c.Net.After(at+stagger, func() {
 				c.injectLoad(slot)
-				srv.Tick(c.Net.Now())
+				rep.Tick()
 				if err := srv.Disseminate(); err != nil {
 					// Recorded by Health below; dissemination
 					// of a correct server cannot fail.
 					_ = err
 				}
-				c.maybeCheckpoint(slot)
-				c.maybeFollow(slot)
+				rep.PollIfDue()
 			})
 		}
 	}
@@ -618,39 +559,14 @@ func (c *Cluster) RunUntil(maxRounds int, cond func() bool) (bool, error) {
 	return cond(), nil
 }
 
-// maybeCheckpoint applies the automatic checkpoint policy to one slot —
-// the simulator's mirror of the node runtime's segment-count trigger.
-func (c *Cluster) maybeCheckpoint(slot int) {
-	if c.opts.CheckpointEverySegments <= 0 {
-		return
+// FollowReport returns one slot's live-follower counters: its current
+// replica's (zero for byzantine and crashed slots — a recovered slot
+// starts a fresh report, as a restarted node does).
+func (c *Cluster) FollowReport(slot int) node.FollowReport {
+	if rep := c.reps[slot]; rep != nil {
+		return rep.FollowReport()
 	}
-	st, srv := c.Stores[slot], c.Servers[slot]
-	if st == nil || srv == nil || st.WALSegments() < c.opts.CheckpointEverySegments {
-		return
-	}
-	// A checkpoint failure would surface on the next append or the
-	// test's own store assertions; the simulation keeps running.
-	_, _ = st.Checkpoint(srv.DAG())
-}
-
-// FollowStats returns one slot's live-follower counters.
-func (c *Cluster) FollowStats(slot int) FollowStats { return c.follow[slot].stats }
-
-// maybeFollow runs one slot's live-follower policy: when the poll period
-// has elapsed and no poll is outstanding, send a watermark-exchange
-// query to the next peer in rotation; if the answer advertises blocks
-// the local DAG lacks, pull the missing suffix through the validated
-// delta stream and absorb it into the running server. The whole chain —
-// query, decision, stream, absorption — runs as simulator events, so it
-// is deterministic and interleaves with gossip exactly as the node
-// runtime's follower loop interleaves with its event channels.
-func (c *Cluster) maybeFollow(slot int) {
-	if c.opts.FollowEvery <= 0 {
-		return
-	}
-	if now := c.Net.Now(); now-c.follow[slot].lastPoll >= c.opts.FollowEvery {
-		c.followPoll(slot)
-	}
+	return node.FollowReport{}
 }
 
 // FollowOnce schedules one immediate follow poll at the given slot,
@@ -660,118 +576,21 @@ func (c *Cluster) maybeFollow(slot int) {
 // else scheduled, running the network to quiescence isolates exactly the
 // follow path's traffic.
 func (c *Cluster) FollowOnce(slot int) {
-	c.Net.After(0, func() { c.followPoll(slot) })
-}
-
-// followPoll opens one watermark-exchange query at the slot against the
-// next peer in rotation.
-func (c *Cluster) followPoll(slot int) {
-	fs := &c.follow[slot]
-	srv := c.Servers[slot]
-	if srv == nil || fs.inFlight || c.opts.FollowEvery <= 0 {
-		return
-	}
-	peers := c.followPeers(slot)
-	if len(peers) == 0 {
-		return
-	}
-	// Score-weighted rotation: with accountability on, quarantined peers
-	// are polled only when no clean peer remains and banned peers never;
-	// without a scorer this is the plain round-robin it always was.
-	peer, ok := c.Scorers[slot].Pick(peers, fs.nextPeer)
-	fs.nextPeer++
-	if !ok {
-		return // every peer is banned; FWD gossip remains the fallback
-	}
-	fs.lastPoll = c.Net.Now()
-	fs.inFlight = true
-	fs.stats.Polls++
-	query := syncsvc.NewWatermarkQuery(func(wms []syncsvc.Watermark, err error) {
-		c.followDecide(slot, srv, peer, wms, err)
-	})
-	c.Net.Transport(types.ServerID(slot)).Call(peer, transport.ChanSync, syncsvc.EncodeWatermarkRequest(), query)
-}
-
-// followPeers lists the slots a follower polls: every other roster slot,
-// in ServerID order. Crashed or byzantine peers simply fail the call;
-// rotation reaches a live one within a round-trip's worth of polls.
-func (c *Cluster) followPeers(slot int) []types.ServerID {
-	peers := make([]types.ServerID, 0, c.opts.N-1)
-	for i := 0; i < c.opts.N; i++ {
-		if i != slot {
-			peers = append(peers, types.ServerID(i))
+	c.Net.After(0, func() {
+		if rep := c.reps[slot]; rep != nil {
+			rep.Poll()
 		}
-	}
-	return peers
+	})
 }
 
-// followDecide consumes a watermark answer on the event loop: drop stale
-// polls (the slot crashed or was rebuilt mid-flight), count failures,
-// and open the delta pull when the peer is ahead. The decision core is
-// syncsvc.DeltaIfBehind, shared with the node runtime's follower.
-func (c *Cluster) followDecide(slot int, srv *core.Server, peer types.ServerID, wms []syncsvc.Watermark, err error) {
-	fs := &c.follow[slot]
-	if c.Servers[slot] != srv {
-		fs.inFlight = false
-		return
-	}
-	if err != nil {
-		c.followFail(slot, peer, err)
-		return
-	}
-	pull := syncsvc.DeltaIfBehind(srv.DAG(), nil, wms, 0)
-	if pull == nil {
-		fs.inFlight = false // in sync with this peer; nothing to pull
-		return
-	}
-	fs.stats.Deltas++
-	sink := syncsvc.PullDone(pull, func() { c.followAbsorb(slot, srv, peer, pull) })
-	c.Net.Transport(types.ServerID(slot)).Call(peer, transport.ChanSync, pull.Request(), sink)
-}
-
-// followAbsorb feeds a finished delta pull's validated blocks to the
-// running server (syncsvc.AbsorbPull, shared with the node runtime).
-// Every absorbed block passed full validation whatever the stream's
-// terminal error, so a truncated or lying stream still yields its
-// genuine prefix; the rest arrives on a later poll or via FWD. An
-// absorb error is latched in srv.Health.
-func (c *Cluster) followAbsorb(slot int, srv *core.Server, peer types.ServerID, pull *syncsvc.Pull) {
-	fs := &c.follow[slot]
-	if c.Servers[slot] != srv {
-		fs.inFlight = false
-		return
-	}
-	absorbed, _, streamErr := syncsvc.AbsorbPull(pull, srv.AbsorbVerified)
-	fs.stats.Blocks += absorbed
-	if streamErr != nil {
-		c.followFail(slot, peer, streamErr)
-		return
-	}
-	fs.inFlight = false
-}
-
-// followFail settles a failed poll, classifying throttles separately (the
-// follower's cue that rotation, which the next poll does anyway, is the
-// right response; with accountability on, a throttling peer additionally
-// loses standing in the score-weighted rotation).
-func (c *Cluster) followFail(slot int, peer types.ServerID, err error) {
-	fs := &c.follow[slot]
-	if errors.Is(err, syncsvc.ErrThrottled) {
-		fs.stats.Throttled++
-		c.Scorers[slot].Penalize(peer, peerscore.Throttled)
-	} else {
-		fs.stats.Errors++
-	}
-	fs.inFlight = false
-}
-
-// Health surfaces the first internal error of any correct server.
+// Health surfaces the first internal error of any correct server (or of
+// its replica's policy: persist, checkpoint, absorb).
 func (c *Cluster) Health() error {
-	for i, srv := range c.Servers {
-		if srv == nil {
+	for i, rep := range c.reps {
+		if rep == nil {
 			continue
 		}
-		if err := srv.Health(); err != nil {
+		if err := rep.Err(); err != nil {
 			return fmt.Errorf("cluster: server %d: %w", i, err)
 		}
 	}
@@ -823,6 +642,9 @@ func (c *Cluster) Converged() bool {
 // bulk sync path — RecoverServerViaSync.
 func (c *Cluster) Crash(slot int) {
 	c.Servers[slot] = nil
+	// Retiring the replica also drops every transport callback still in
+	// flight for it (see startServer's post hook).
+	c.reps[slot] = nil
 	if st := c.Stores[slot]; st != nil {
 		st.Abandon()
 	}
@@ -888,7 +710,7 @@ func (c *Cluster) RecoverServerWith(slot int, proto protocol.Protocol, stored []
 	if _, err := d.Admit(stored); err != nil {
 		return fmt.Errorf("cluster: recover server %d: %w", slot, err)
 	}
-	return c.recoverServer(slot, proto, d, compress, nil)
+	return c.startServer(slot, proto, d, compress, nil)
 }
 
 // RecoverServerFromStore restarts a crashed slot from its on-disk store:
@@ -904,7 +726,7 @@ func (c *Cluster) RecoverServerFromStore(slot int, proto protocol.Protocol) erro
 	if err != nil {
 		return err
 	}
-	return c.recoverServer(slot, proto, st.TakeDAG(), c.opts.CompressReferences, st)
+	return c.startServer(slot, proto, st.TakeDAG(), c.opts.CompressReferences, st)
 }
 
 // RecoverServerViaSync restarts a crashed slot through bulk catch-up: the
@@ -950,12 +772,17 @@ func (c *Cluster) RecoverServerViaSync(slot int, proto protocol.Protocol, from i
 		st.Abandon()
 		return fmt.Errorf("cluster: recover server %d via sync: %w", slot, err)
 	}
-	return c.recoverServer(slot, proto, d, c.opts.CompressReferences, st)
+	return c.startServer(slot, proto, d, c.opts.CompressReferences, st)
 }
 
-// recoverServer rebuilds one slot from a validated DAG, optionally
-// resuming journaling on st.
-func (c *Cluster) recoverServer(slot int, proto protocol.Protocol, d *dag.DAG, compress bool, st *store.Store) error {
+// startServer builds one slot's server from a validated DAG (nil: fresh)
+// and runs it through a node.Replica, which restores d, seeds the
+// watermark tracker and installs st's persistence sink — the same
+// post-recovery wiring a production node performs. Replica callbacks
+// (follow answers, settled pulls) run inline on the event loop and are
+// dropped once the slot crashed or was rebuilt: a dead server absorbs
+// nothing.
+func (c *Cluster) startServer(slot int, proto protocol.Protocol, d *dag.DAG, compress bool, st *store.Store) error {
 	id := types.ServerID(slot)
 	m := &metrics.Metrics{}
 	broker := c.newBroker(slot)
@@ -966,8 +793,10 @@ func (c *Cluster) recoverServer(slot int, proto protocol.Protocol, d *dag.DAG, c
 		Transport:          c.Net.Transport(id),
 		Clock:              c.Net.Now,
 		Metrics:            m,
+		MaxBatch:           c.opts.MaxBatch,
 		VerifyWorkers:      c.opts.VerifyWorkers,
 		Mempool:            c.newPool(slot),
+		RetireInstances:    c.opts.RetireInstances,
 		CompressReferences: compress,
 		OnIndication: func(label types.Label, value []byte) {
 			c.inds[slot] = append(c.inds[slot], Indication{
@@ -976,26 +805,42 @@ func (c *Cluster) recoverServer(slot int, proto protocol.Protocol, d *dag.DAG, c
 			broker.Publish(label, value)
 		},
 	}
-	if st != nil {
-		cfg.OnPersist = st.PersistSink(id)
-	}
 	c.wireAccountability(slot, &cfg, st)
 	srv, err := core.NewServer(cfg)
 	if err != nil {
-		return fmt.Errorf("cluster: recover server %d: %w", slot, err)
+		return fmt.Errorf("cluster: server %d: %w", slot, err)
 	}
-	if err := srv.Restore(d); err != nil {
-		return fmt.Errorf("cluster: recover server %d: %w", slot, err)
+	peers := make([]types.ServerID, 0, c.opts.N-1)
+	for i := 0; i < c.opts.N; i++ {
+		if i != slot {
+			peers = append(peers, types.ServerID(i))
+		}
+	}
+	var rep *node.Replica
+	post := func(fn func()) {
+		if c.reps[slot] == rep {
+			fn()
+		}
+	}
+	rep, err = node.NewReplica(node.Config{
+		Server:                  srv,
+		Store:                   st,
+		CheckpointEverySegments: c.opts.CheckpointEverySegments,
+		FollowEvery:             c.opts.FollowEvery,
+	}, d, c.Net.Transport(id), peers, post)
+	if err != nil {
+		return fmt.Errorf("cluster: server %d: %w", slot, err)
 	}
 	if st != nil {
 		// Replay the evidence sidecar: bans survive the crash even when
 		// the proof's blocks never made it into the replayable DAG.
 		srv.SeedEvidence(st.Evidence())
 	}
-	c.register(slot, srv, st)
+	c.register(slot, rep, srv, st)
 	c.Servers[slot] = srv
 	c.Metrics[slot] = m
 	c.Stores[slot] = st
+	c.reps[slot] = rep
 	return c.openGateway(slot)
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"blockdag/internal/block"
 	"blockdag/internal/cluster"
+	"blockdag/internal/node"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/syncsvc"
 	"blockdag/internal/transport"
@@ -70,7 +71,7 @@ func TestClusterLiveFollowerPartitionHeal(t *testing.T) {
 	if fwd := c.Metrics[3].Snapshot().FwdRequestsSent - fwdBefore; fwd != 0 {
 		t.Fatalf("follow convergence cost %d FWD requests, want 0", fwd)
 	}
-	stats := c.FollowStats(3)
+	stats := c.FollowReport(3)
 	if stats.Deltas == 0 || stats.Blocks < lag {
 		t.Fatalf("follow stats %+v; want a delta pull covering the %d-block lag", stats, lag)
 	}
@@ -115,7 +116,7 @@ func TestClusterLiveFollowerPartitionHeal(t *testing.T) {
 // TestClusterLiveFollowerDeterministic: identical seeds give identical
 // follow traces — polls, deltas, pulled blocks, and network counters.
 func TestClusterLiveFollowerDeterministic(t *testing.T) {
-	run := func() (cluster.FollowStats, int64, int64) {
+	run := func() (node.FollowReport, int64, int64) {
 		c, err := cluster.New(cluster.Options{
 			N:           4,
 			Protocol:    brb.Protocol{},
@@ -135,11 +136,12 @@ func TestClusterLiveFollowerDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := c.Net.Stats()
-		return c.FollowStats(2), s.Calls, s.CallBytes
+		return c.FollowReport(2), s.Calls, s.CallBytes
 	}
 	s1, c1, b1 := run()
 	s2, c2, b2 := run()
-	if s1 != s2 || c1 != c2 || b1 != b2 {
+	// %+v renders LastErr by its text: error values are fresh per run.
+	if fmt.Sprintf("%+v", s1) != fmt.Sprintf("%+v", s2) || c1 != c2 || b1 != b2 {
 		t.Fatalf("follow diverges across identical seeds: (%+v,%d,%d) vs (%+v,%d,%d)", s1, c1, b1, s2, c2, b2)
 	}
 }
@@ -187,7 +189,7 @@ func TestClusterFollowerThrottledRotates(t *testing.T) {
 		c.FollowOnce(3)
 		c.Net.Run()
 	}
-	stats := c.FollowStats(3)
+	stats := c.FollowReport(3)
 	if stats.Throttled < 2 {
 		t.Fatalf("follow stats %+v; want both throttling peers counted", stats)
 	}
@@ -255,7 +257,7 @@ func TestClusterFollowerLyingWatermarks(t *testing.T) {
 		c.FollowOnce(3)
 		c.Net.Run()
 	}
-	stats := c.FollowStats(3)
+	stats := c.FollowReport(3)
 	if stats.Errors == 0 {
 		t.Fatalf("follow stats %+v; the tampered stream should have failed", stats)
 	}
@@ -329,6 +331,62 @@ func TestClusterFollowerAfterRestart(t *testing.T) {
 	ok, err = c.RunUntil(30, func() bool { return allDelivered(c, "post") && c.Converged() })
 	if err != nil || !ok {
 		t.Fatalf("post: ok=%v err=%v", ok, err)
+	}
+	if err := c.Health(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClusterStaleFollowResultDropped: a follow pull still streaming
+// when its slot crashes and recovers settles into nothing — the replica
+// that opened it is retired, so no block is absorbed into the dead
+// server, and the recovered slot's fresh follower report stays as it
+// was.
+func TestClusterStaleFollowResultDropped(t *testing.T) {
+	c, err := cluster.New(cluster.Options{
+		N:           4,
+		Protocol:    brb.Protocol{},
+		Seed:        23,
+		FollowEvery: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	partitionSlot(c, 3)
+	c.Request(0, "during", []byte("w"))
+	if err := c.RunRounds(10); err != nil {
+		t.Fatal(err)
+	}
+	c.Net.SetPartition(nil)
+
+	// Run until slot 3's watermark answer opened a delta pull, then crash
+	// and recover the slot while the pull's stream is still in flight.
+	c.FollowOnce(3)
+	if !c.Net.RunUntil(func() bool { return c.FollowReport(3).Deltas == 1 }) {
+		t.Fatal("follower never opened a delta pull")
+	}
+	dead := c.Servers[3]
+	deadLen := dead.DAG().Len()
+	c.Crash(3)
+	if err := c.RecoverServer(3, brb.Protocol{}, dead.DAG().Blocks()); err != nil {
+		t.Fatal(err)
+	}
+	fresh, before := c.Servers[3], c.FollowReport(3)
+	freshLen := fresh.DAG().Len()
+	frames := c.Net.Stats().CallFrames
+
+	c.Net.Run()
+	if c.Net.Stats().CallFrames == frames {
+		t.Fatal("the stale pull delivered no frames; nothing was tested")
+	}
+	if got := dead.DAG().Len(); got != deadLen {
+		t.Fatalf("stale pull absorbed into the dead server: %d -> %d blocks", deadLen, got)
+	}
+	if got := fresh.DAG().Len(); got != freshLen {
+		t.Fatalf("stale pull changed the recovered server: %d -> %d blocks", freshLen, got)
+	}
+	if got := c.FollowReport(3); fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", before) {
+		t.Fatalf("stale pull changed the recovered slot's report: %+v -> %+v", before, got)
 	}
 	if err := c.Health(); err != nil {
 		t.Fatal(err)

@@ -305,6 +305,11 @@ func (s *Server) Disseminate() error {
 // Tick drives FWD retransmission timers.
 func (s *Server) Tick(now time.Duration) { s.gsp.Tick(now) }
 
+// Now reads the server's clock (Config.Clock): the one time base gossip
+// stamps FWD requests with, so every runtime ticking the server (and every
+// runtime policy paced alongside it) must read time here.
+func (s *Server) Now() time.Duration { return s.cfg.Clock() }
+
 // onInsert chains every inserted block into the interpreter: building the
 // DAG and interpreting it stay logically decoupled (the dotted line in the
 // paper's Figure 1) but share the insertion feed, which is a topological

@@ -53,7 +53,7 @@ func TestNodeLiveFollower(t *testing.T) {
 	defer func() { _ = peerTr.Close() }()
 
 	// The follower: empty store, startup catch-up, and a follower loop
-	// driven by an injected tick channel.
+	// polling on a short real period.
 	myTr, err := tcpnet.Listen(tcpnet.Config{
 		Self: 1, ListenAddr: "127.0.0.1:0",
 		Endpoints: map[transport.Channel]transport.Endpoint{transport.ChanGossip: &transport.LateBound{}},
@@ -80,7 +80,6 @@ func TestNodeLiveFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	followTick := make(chan time.Time)
 	nd, err := node.New(node.Config{
 		Server: srv,
 		Store:  myStore,
@@ -89,8 +88,7 @@ func TestNodeLiveFollower(t *testing.T) {
 			Peers:     []types.ServerID{0},
 			Timeout:   10 * time.Second,
 		},
-		FollowEvery: time.Hour, // period irrelevant: ticks are injected
-		FollowTick:  followTick,
+		FollowEvery: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,17 +118,13 @@ func TestNodeLiveFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One injected tick = one poll; repeat until the delta lands (the
-	// first poll races the Append above only in the test, never in the
-	// protocol, so a retry loop is the honest harness).
+	// Polls keep coming every FollowEvery; wait until one lands the
+	// delta (the first polls race the Append above only in the test,
+	// never in the protocol).
 	deadline := time.Now().Add(15 * time.Second)
 	for nd.FollowReport().Blocks < extra {
 		if time.Now().After(deadline) {
 			t.Fatalf("follower never pulled the %d-block suffix: %+v (node err: %v)", extra, nd.FollowReport(), nd.Err())
-		}
-		select {
-		case followTick <- time.Now():
-		default: // loop busy mid-poll; let it finish
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

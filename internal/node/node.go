@@ -3,25 +3,27 @@
 // it network deliveries, user requests, and the periodic disseminate and
 // FWD-retry timers (Algorithm 3's "repeatedly gssp.disseminate()").
 //
-// The split keeps all protocol logic deterministic and single-threaded —
-// testable on the simulator — while this package confines the concurrency:
-// channels in, one loop goroutine, explicit shutdown, no fire-and-forget.
+// The runtime has two halves. Replica is the deterministic core: the
+// post-recovery wiring (Restore, the watermark tracker, the persistence
+// sink), the live follower (Config.FollowEvery), the automatic
+// checkpoint trigger (Config.CheckpointEverySegments/-Bytes), and the
+// state seal/prune cycle (Config.State) — all paced by the server's own
+// clock, with no goroutine, ticker or channel of its own. Node is the
+// thin shell around it for real time: channels in, one loop goroutine,
+// tickers, the blocking startup catch-up (Config.CatchUp), the
+// indication broker, and explicit shutdown. The cluster simulator drives
+// the same Replica on virtual time, so the follower, checkpoint and seal
+// policy under its deterministic tests is the code production runs.
 //
-// Around the loop the runtime wires the operational services: durable
-// persistence (Config.Store, with the own-block externalization barrier
-// the store package documents), startup bulk catch-up (Config.CatchUp),
-// automatic checkpointing (Config.CheckpointEverySegments/-Bytes), and
-// the live-follower loop (Config.FollowEvery) that keeps a running node
-// converged by polling peers' watermarks and pulling missing suffixes
-// over the sync channel. The follower's transport callbacks never touch
-// server state: results come home through a channel and are applied on
-// the loop goroutine, like every other input. Follower and checkpoint
-// scheduling compose without coordination — absorbed blocks are
-// journaled through the same persistence sink as gossiped ones, so they
-// count toward the same segment/byte thresholds and appear in the
-// snapshots served to other catch-up clients; the node's own watermark
-// vector (Watermarks, backed by a tracker the sink advances) stays
-// consistent with the store across checkpoints, restarts, and pulls.
+// The follower's transport callbacks never touch server state: the
+// replica posts them back to the loop as closures, applied like every
+// other input. Follower and checkpoint scheduling compose without
+// coordination — absorbed blocks are journaled through the same
+// persistence sink as gossiped ones, so they count toward the same
+// segment/byte thresholds and appear in the snapshots served to other
+// catch-up clients; the replica's own watermark vector (Watermarks,
+// backed by a tracker the sink advances) stays consistent with the store
+// across checkpoints, restarts, and pulls.
 package node
 
 import (
@@ -31,7 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"blockdag/internal/block"
 	"blockdag/internal/core"
 	"blockdag/internal/dag"
 	"blockdag/internal/gossip"
@@ -68,7 +69,8 @@ type Config struct {
 	// caller keeps ownership and closes the store after Stop. On a clean
 	// shutdown Stop leaves the WAL fully synced.
 	Store *store.Store
-	// CatchUp, if non-nil, bulk-syncs the server before the loop starts:
+	// CatchUp, if non-nil, bulk-syncs the server before the loop starts
+	// (a Node step, not a Replica one: the blocking fetch runs in New):
 	// New asks the configured peers for every block the store does not
 	// already hold (transport.ChanSync, package syncsvc), admits the
 	// stream into the store's recovered DAG (validating each block once),
@@ -95,11 +97,7 @@ type Config struct {
 	// A throttled or failing peer costs one poll period: the next poll
 	// rotates to the next peer. 0 disables.
 	FollowEvery time.Duration
-	// FollowTick overrides the follower loop's timer — tests and
-	// deterministic harnesses inject their own tick channel; nil runs a
-	// time.Ticker at FollowEvery.
-	FollowTick <-chan time.Time
-	// CheckpointEverySegments, with Store set, makes the loop call
+	// CheckpointEverySegments, with Store set, makes every tick call
 	// Store.Checkpoint whenever the WAL has accumulated that many
 	// segments since the last snapshot — bounding disk, recovery time,
 	// and the stream a catch-up server sends, and keeping a fresh
@@ -175,9 +173,11 @@ type request struct {
 	data  []byte
 }
 
-// Node runs a core.Server on its own goroutine.
+// Node runs a core.Server, through its Replica core, on its own
+// goroutine.
 type Node struct {
 	cfg Config
+	rep *Replica
 
 	// The ingestion channels are buffered beyond the usual one-or-none
 	// guideline deliberately: they absorb network bursts while the loop
@@ -185,15 +185,17 @@ type Node struct {
 	// buffer fills, which is the desired backpressure.
 	in   chan inbound
 	reqs chan request
+	// posted carries the replica's transport callbacks (watermark
+	// answers, settled delta pulls) home to the loop goroutine, which
+	// owns all server state.
+	posted chan func()
 
 	cancel context.CancelFunc
 	done   chan struct{}
 	wg     sync.WaitGroup
 
-	mu       sync.Mutex
-	started  bool
-	firstErr error
-	follow   FollowReport
+	mu      sync.Mutex
+	started bool
 	// stopHooks run at the head of Stop, before the loop is cancelled —
 	// the graceful-drain seam: the client gateway registers its shutdown
 	// here so in-flight HTTP requests finish (and long-polls get a clean
@@ -208,52 +210,16 @@ type Node struct {
 	// indications too.
 	broker *IndicationBroker
 
-	// served is the current sealed snapshot offered on the sync
-	// channel's snapshot tier (immutable value, swapped under mu).
-	served *syncsvc.ServedSnapshot
-	// lastSeal/lastSealedSlot pace the seal cycle. Loop-goroutine only.
-	lastSeal       time.Time
-	lastSealedSlot uint64
-
 	catchUp CatchUpReport
-	// ckptFloor is the store's on-disk size after the last checkpoint
-	// (or at startup): the baseline CheckpointEveryBytes growth is
-	// measured from. Loop-goroutine only.
-	ckptFloor int64
-
-	// tracker maintains this node's own watermark vector (durable nodes
-	// only): the loop observes every block as it persists, and the sync
-	// service answers watermark queries from the snapshot instead of
-	// scanning the store. Thread-safe.
-	tracker *syncsvc.WatermarkTracker
-
-	// followC hands async follow results (watermark answers, settled
-	// delta pulls) back to the loop goroutine, which owns all server
-	// state. Loop-goroutine fields below it.
-	followC chan followResult
-	// followInFlight tracks the outstanding poll (at most one);
-	// followPeer is the rotation cursor over CatchUp.Peers.
-	followInFlight bool
-	followPeer     int
-}
-
-// followResult is one async follower event awaiting the loop: a
-// watermark answer (pull nil) or a settled delta pull.
-type followResult struct {
-	peer types.ServerID
-	wms  []syncsvc.Watermark
-	pull *syncsvc.Pull
-	err  error
 }
 
 // New validates the config and prepares a node. With Config.Store set,
-// New performs the recover-resume handshake: the store's recovered log is
-// replayed so the server continues its pre-crash chain, then the store's
-// persistence sink is installed — before any other block can be inserted,
-// and only once the replay has succeeded, so a failed New leaves the
-// caller-owned server without a sink and free to retry. With
-// Config.CatchUp additionally set, the bulk sync runs between recovery
-// and replay, so the server restores store and stream in one pass.
+// New performs the recover-resume handshake: the store's recovered DAG —
+// extended by the bulk sync when Config.CatchUp is set, so the server
+// restores store and stream in one pass — is handed to NewReplica, which
+// replays it so the server continues its pre-crash chain and only then
+// installs the store's persistence sink, so a failed New leaves the
+// caller-owned server without a sink and free to retry.
 func New(cfg Config) (*Node, error) {
 	if cfg.Server == nil {
 		return nil, errors.New("node: config needs a Server")
@@ -281,14 +247,14 @@ func New(cfg Config) (*Node, error) {
 		cfg.TickEvery = 100 * time.Millisecond
 	}
 	n := &Node{
-		cfg:     cfg,
-		in:      make(chan inbound, 256),
-		reqs:    make(chan request, 256),
-		done:    make(chan struct{}),
-		followC: make(chan followResult, 4),
-		broker:  NewIndicationBroker(cfg.RecentIndications),
+		cfg:    cfg,
+		in:     make(chan inbound, 256),
+		reqs:   make(chan request, 256),
+		posted: make(chan func(), 4),
+		done:   make(chan struct{}),
+		broker: NewIndicationBroker(cfg.RecentIndications),
 	}
-	// The broker observes before the replay below runs, so indications of
+	// The broker observes before the replay runs, so indications of
 	// restored blocks land in its replay index: a gateway await for a
 	// label delivered before the crash answers immediately after restart.
 	if err := cfg.Server.AddIndicationObserver(n.broker.Publish); err != nil {
@@ -302,16 +268,13 @@ func New(cfg Config) (*Node, error) {
 		if d = cfg.Store.TakeDAG(); d == nil {
 			return nil, errors.New("node: the store's recovered DAG was already taken; reopen the store")
 		}
-		if cfg.State != nil {
-			// Rebuild the machine from the journaled checkpoint (and
-			// fast-forward the smr frontier) before the Restore replay
-			// below fires indications for the slots above it.
-			if err := n.restoreState(cfg.State, cfg.Store); err != nil {
-				return nil, err
-			}
-		}
 	}
+	var (
+		tr    transport.Transport
+		peers []types.ServerID
+	)
 	if cfg.CatchUp != nil {
+		tr, peers = cfg.CatchUp.Transport, cfg.CatchUp.Peers
 		if d == nil {
 			d = dag.New(cfg.Server.DAG().Roster())
 		}
@@ -330,52 +293,21 @@ func New(cfg Config) (*Node, error) {
 			}
 		}
 	}
-	if d != nil {
-		if err := cfg.Server.Restore(d); err != nil {
-			return nil, fmt.Errorf("node: restore from store: %w", err)
-		}
+	rep, err := NewReplica(cfg, d, tr, peers, n.post)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Store != nil {
-		// The watermark tracker mirrors the store: seeded from the
-		// replay, advanced by the persistence sink below, snapshotted by
-		// the sync service when peers ask how far this node is.
-		n.tracker = syncsvc.NewWatermarkTracker()
-		// A pruned store's tracker starts at the horizon: the vector
-		// claims the pruned prefix (covered by the certified snapshot)
-		// without ever observing it.
-		n.tracker.SeedHorizon(cfg.Store.Horizon())
-		for b := range cfg.Server.DAG().All() {
-			n.tracker.Observe(b)
-		}
-		// PersistSink, not a bare Append: own blocks must be durable
-		// before gossip broadcasts them, or a power cut sets up a
-		// post-crash self-equivocation (see the store package docs).
-		sink := cfg.Store.PersistSink(cfg.Server.ID())
-		if err := cfg.Server.SetPersist(func(b *block.Block) error {
-			if err := sink(b); err != nil {
-				return err
-			}
-			n.tracker.Observe(b)
-			return nil
-		}); err != nil {
-			return nil, fmt.Errorf("node: %w", err)
-		}
-		// Group-commit ingest bursts: DeliverBatch brackets its burst in
-		// one store batch, so 64 received blocks cost one write syscall
-		// and one fsync decision instead of 64 (see core.DeliverBatch for
-		// why the own-block durability barrier is unaffected).
-		if err := cfg.Server.SetPersistBatcher(cfg.Store); err != nil {
-			return nil, fmt.Errorf("node: %w", err)
-		}
-		if cfg.CheckpointEveryBytes > 0 {
-			floor, err := cfg.Store.DiskSize()
-			if err != nil {
-				return nil, fmt.Errorf("node: %w", err)
-			}
-			n.ckptFloor = floor
-		}
-	}
+	n.rep = rep
 	return n, nil
+}
+
+// post hands one replica callback to the loop, dropping it if the node
+// has stopped.
+func (n *Node) post(fn func()) {
+	select {
+	case n.posted <- fn:
+	case <-n.done:
+	}
 }
 
 // CatchUpReport returns what startup catch-up did (zero value when
@@ -384,11 +316,7 @@ func (n *Node) CatchUpReport() CatchUpReport { return n.catchUp }
 
 // FollowReport returns the live-follower loop's counters so far (zero
 // value when Config.FollowEvery was 0). Safe for concurrent use.
-func (n *Node) FollowReport() FollowReport {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.follow
-}
+func (n *Node) FollowReport() FollowReport { return n.rep.FollowReport() }
 
 // AccountabilityReport is the node's view of the accountability layer:
 // which peers it has banned on proven equivocation, and the decaying
@@ -407,16 +335,15 @@ func (n *Node) AccountabilityReport() AccountabilityReport {
 
 // Watermarks returns this node's own watermark vector — the live source
 // deployments hand to syncsvc.Server.Watermarks, so answering a peer's
-// poll costs a few counters instead of a store scan. Nil when the node
-// has no store (the sync service then falls back to scanning its block
-// source). Safe for concurrent use; transports call it from connection
-// goroutines.
-func (n *Node) Watermarks() []syncsvc.Watermark {
-	if n.tracker == nil {
-		return nil
-	}
-	return n.tracker.Snapshot()
-}
+// poll costs a few counters instead of a store scan (see
+// Replica.Watermarks). Safe for concurrent use; transports call it from
+// connection goroutines.
+func (n *Node) Watermarks() []syncsvc.Watermark { return n.rep.Watermarks() }
+
+// ServedSnapshot returns the node's current sealed snapshot for the sync
+// service's snapshot tier (see Replica.ServedSnapshot). Safe for
+// concurrent use.
+func (n *Node) ServedSnapshot() *syncsvc.ServedSnapshot { return n.rep.ServedSnapshot() }
 
 // StoreDiskSize reports the durable store's current on-disk size in
 // bytes, false when the node runs without a store. Safe for concurrent
@@ -525,27 +452,9 @@ func (n *Node) Submit(label types.Label, data []byte) error {
 	return nil
 }
 
-// Err returns the first runtime error observed by the loop, combined with
-// the server's own health.
-func (n *Node) Err() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.firstErr != nil {
-		return n.firstErr
-	}
-	return n.cfg.Server.Health()
-}
-
-func (n *Node) recordErr(err error) {
-	if err == nil {
-		return
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.firstErr == nil {
-		n.firstErr = err
-	}
-}
+// Err returns the first runtime error observed by the loop or the
+// replica core, combined with the server's own health.
+func (n *Node) Err() error { return n.rep.Err() }
 
 // Server exposes the underlying shim (read-only access such as DAG() and
 // Metrics() is safe only after Stop, or from the indication callback which
@@ -557,20 +466,19 @@ func (n *Node) loop(ctx context.Context) {
 	defer close(n.done)
 	if n.cfg.Store != nil {
 		// Clean shutdowns leave no unsynced tail, whatever the policy.
-		defer func() { n.recordErr(n.cfg.Store.Sync()) }()
+		defer func() { n.rep.recordErr(n.cfg.Store.Sync()) }()
 	}
 	srv := n.cfg.Server
 	disseminate := time.NewTicker(n.cfg.DisseminateEvery)
 	defer disseminate.Stop()
 	tick := time.NewTicker(n.cfg.TickEvery)
 	defer tick.Stop()
-	followTick := n.cfg.FollowTick
-	if n.cfg.FollowEvery > 0 && followTick == nil {
+	var followTick <-chan time.Time
+	if n.cfg.FollowEvery > 0 {
 		ft := time.NewTicker(n.cfg.FollowEvery)
 		defer ft.Stop()
 		followTick = ft.C
 	}
-	start := time.Now()
 
 	for {
 		select {
@@ -586,18 +494,13 @@ func (n *Node) loop(ctx context.Context) {
 			// an internal invariant broke; record for Err(). The
 			// loop keeps running: delivery, interpretation, and
 			// FWD service stay up on an unhealthy server.
-			n.recordErr(srv.Disseminate())
+			n.rep.recordErr(srv.Disseminate())
 		case <-tick.C:
-			srv.Tick(time.Since(start))
-			if n.cfg.Store != nil {
-				n.recordErr(n.cfg.Store.Tick())
-				n.maybeSealState()
-				n.maybeCheckpoint()
-			}
+			n.rep.Tick()
 		case <-followTick:
-			n.startFollowPoll()
-		case r := <-n.followC:
-			n.handleFollowResult(r)
+			n.rep.Poll()
+		case fn := <-n.posted:
+			fn()
 		}
 	}
 }
@@ -626,141 +529,4 @@ func (n *Node) deliverBurst(srv *core.Server, first inbound) {
 		}
 	}
 	srv.DeliverBatch(batch)
-}
-
-// startFollowPoll opens one watermark-exchange query against the next
-// peer in rotation. Runs on the loop goroutine; at most one poll (query
-// or delta pull) is in flight at a time, so a slow peer stretches the
-// period instead of stacking requests.
-func (n *Node) startFollowPoll() {
-	if n.followInFlight || n.cfg.FollowEvery <= 0 {
-		return
-	}
-	// Score-weighted rotation: with a scorer configured (core.Config.Scores)
-	// the poll prefers peers outside quarantine and never targets a banned
-	// one; without, this is the plain round-robin it always was.
-	peers := n.cfg.CatchUp.Peers
-	peer, ok := n.cfg.Server.Scores().Pick(peers, n.followPeer)
-	n.followPeer++
-	if !ok {
-		return // every sync peer is banned; FWD gossip remains the fallback
-	}
-	n.followInFlight = true
-	n.noteFollow(func(r *FollowReport) { r.Polls++ })
-	query := syncsvc.NewWatermarkQuery(func(wms []syncsvc.Watermark, err error) {
-		n.postFollow(followResult{peer: peer, wms: wms, err: err})
-	})
-	n.cfg.CatchUp.Transport.Call(peer, transport.ChanSync, syncsvc.EncodeWatermarkRequest(), query)
-}
-
-// handleFollowResult consumes one async follower event on the loop
-// goroutine: decide on a watermark answer, or absorb a settled pull.
-// The decision and absorption cores live in syncsvc (DeltaIfBehind,
-// AbsorbPull), shared with the cluster simulator's driver.
-func (n *Node) handleFollowResult(r followResult) {
-	srv := n.cfg.Server
-	if r.pull != nil { // a delta pull settled
-		// Every absorbed block passed full validation whatever the
-		// stream's terminal error; a truncated or lying stream still
-		// yields its genuine prefix. Persist trouble is latched in
-		// Health (and recorded here). The absorption is bracketed in one
-		// store group commit — the pulled suffix journals with one write
-		// per segment run instead of one per block.
-		if n.cfg.Store != nil {
-			n.cfg.Store.BeginBatch()
-		}
-		absorbed, absorbErr, streamErr := syncsvc.AbsorbPull(r.pull, srv.AbsorbVerified)
-		if n.cfg.Store != nil {
-			n.recordErr(n.cfg.Store.FlushBatch())
-		}
-		n.recordErr(absorbErr)
-		n.noteFollow(func(rep *FollowReport) { rep.Blocks += absorbed })
-		n.settleFollow(r.peer, streamErr)
-		return
-	}
-	if r.err != nil {
-		n.settleFollow(r.peer, r.err)
-		return
-	}
-	// Durable nodes pass the tracker's O(#builders) horizon; a
-	// storeless node (nil horizon) falls back to a DAG scan inside
-	// DeltaIfBehind.
-	var horizon map[types.ServerID]uint64
-	if n.tracker != nil {
-		horizon = n.tracker.Horizon()
-	}
-	pull := syncsvc.DeltaIfBehind(srv.DAG(), horizon, r.wms, n.cfg.CatchUp.MaxBlocks)
-	if pull == nil {
-		n.settleFollow(r.peer, nil) // in sync with this peer; nothing to pull
-		return
-	}
-	n.noteFollow(func(rep *FollowReport) { rep.Deltas++ })
-	sink := syncsvc.PullDone(pull, func() {
-		n.postFollow(followResult{peer: r.peer, pull: pull})
-	})
-	n.cfg.CatchUp.Transport.Call(r.peer, transport.ChanSync, pull.Request(), sink)
-}
-
-// settleFollow finishes the in-flight poll, classifying its outcome.
-// A throttled or failed peer costs nothing beyond the poll period — the
-// next tick rotates to the next peer; with a scorer configured, a
-// throttling peer additionally loses standing in the rotation.
-func (n *Node) settleFollow(peer types.ServerID, err error) {
-	n.followInFlight = false
-	if err == nil {
-		return
-	}
-	n.noteFollow(func(rep *FollowReport) {
-		if errors.Is(err, syncsvc.ErrThrottled) {
-			rep.Throttled++
-			n.cfg.Server.Scores().Penalize(peer, peerscore.Throttled)
-		} else {
-			rep.Errors++
-		}
-		rep.LastErr = err
-	})
-}
-
-// noteFollow applies one mutation to the follow counters under the lock
-// (FollowReport readers are concurrent).
-func (n *Node) noteFollow(fn func(*FollowReport)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	fn(&n.follow)
-}
-
-// postFollow hands an async follower event to the loop, dropping it if
-// the node has stopped.
-func (n *Node) postFollow(r followResult) {
-	select {
-	case n.followC <- r:
-	case <-n.done:
-	}
-}
-
-// maybeCheckpoint runs the automatic checkpoint policy: snapshot and
-// compact the store once the WAL segment count, or the growth in on-disk
-// bytes since the last compaction, crosses its configured threshold. It
-// runs on the loop goroutine, which owns both the server's DAG and the
-// store, so the snapshot is taken at a consistent point between events.
-func (n *Node) maybeCheckpoint() {
-	st := n.cfg.Store
-	trigger := n.cfg.CheckpointEverySegments > 0 &&
-		st.WALSegments() >= n.cfg.CheckpointEverySegments
-	if !trigger && n.cfg.CheckpointEveryBytes > 0 {
-		size, err := st.DiskSize()
-		if err != nil {
-			n.recordErr(err)
-			return
-		}
-		trigger = size >= n.ckptFloor+n.cfg.CheckpointEveryBytes
-	}
-	if !trigger {
-		return
-	}
-	stats, err := st.Checkpoint(n.cfg.Server.DAG())
-	if err == nil {
-		n.ckptFloor = stats.BytesAfter
-	}
-	n.recordErr(err)
 }

@@ -22,9 +22,9 @@ import (
 	"blockdag/internal/types"
 )
 
-// StateSyncConfig wires a replicated state machine into the runtime's
-// seal/serve/prune cycle. Requires Config.Store: the sealed commitment
-// rides the store's checkpoint journal.
+// StateSyncConfig wires a replicated state machine into the replica
+// core's seal/serve/prune cycle. Requires Config.Store: the sealed
+// commitment rides the store's checkpoint journal.
 type StateSyncConfig struct {
 	// Machine is the caller-owned interpreted state. The caller routes
 	// committed commands into Machine.Apply from its indication callback
@@ -40,8 +40,10 @@ type StateSyncConfig struct {
 	// satisfies this; it is an interface only to keep internal/node
 	// importable from smr's own tests via internal/cluster.
 	Log interface{ ResumeAt(slot uint64) }
-	// SealEvery is the seal cadence (default 2s). Each seal exports the
-	// tree — O(state) — so this trades snapshot freshness for CPU.
+	// SealEvery is the seal cadence on the server's clock (default 2s):
+	// the first seal comes no earlier than SealEvery after the clock's
+	// start. Each seal exports the tree — O(state) — so this trades
+	// snapshot freshness for CPU.
 	SealEvery time.Duration
 	// ChunkBytes sizes export chunks (default state.DefaultChunkBytes).
 	ChunkBytes int
@@ -110,7 +112,8 @@ func SnapshotJoin(dir string, cfg syncsvc.SnapshotFetchConfig) (*syncsvc.Fetched
 // again. A store without a checkpoint leaves the machine empty: full
 // history is present and the indication replay rebuilds state from
 // slot 0.
-func (n *Node) restoreState(sc *StateSyncConfig, st *store.Store) error {
+func (r *Replica) restoreState() error {
+	sc, st := r.cfg.State, r.cfg.Store
 	ckpt := st.StateCheckpoint()
 	if ckpt == nil {
 		return nil
@@ -132,85 +135,78 @@ func (n *Node) restoreState(sc *StateSyncConfig, st *store.Store) error {
 	if sc.Log != nil {
 		sc.Log.ResumeAt(commit.Slot)
 	}
-	n.lastSealedSlot = commit.Slot
-	n.setServed(&syncsvc.ServedSnapshot{
-		Signed:  state.SignCommit(commit, sc.Signer),
-		Chunks:  ckpt.Chunks,
-		Base:    st.Base(),
-		Horizon: st.Horizon(),
-	})
+	r.lastSealedSlot = commit.Slot
+	r.setServed(state.SignCommit(commit, sc.Signer), ckpt.Chunks)
 	return nil
 }
 
-// ServedSnapshot returns the node's current sealed snapshot for the sync
-// service's snapshot tier — hand it to syncsvc.Server.Snapshot. Nil
+// ServedSnapshot returns the replica's current sealed snapshot for the
+// sync service's snapshot tier — hand it to syncsvc.Server.Snapshot. Nil
 // until the first seal (or checkpoint restore). Safe for concurrent use;
 // the returned value is immutable.
-func (n *Node) ServedSnapshot() *syncsvc.ServedSnapshot {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.served
+func (r *Replica) ServedSnapshot() *syncsvc.ServedSnapshot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.served
 }
 
-// setServed publishes a new immutable served snapshot.
-func (n *Node) setServed(ss *syncsvc.ServedSnapshot) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.served = ss
+// setServed publishes a new immutable served snapshot at the store's
+// current base and horizon: a joiner installs exactly what is served,
+// and its delta pull can only resume from a horizon whose successors
+// this replica still holds.
+func (r *Replica) setServed(signed state.SignedCommit, chunks [][]byte) {
+	ss := &syncsvc.ServedSnapshot{
+		Signed:  signed,
+		Chunks:  chunks,
+		Base:    r.cfg.Store.Base(),
+		Horizon: r.cfg.Store.Horizon(),
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.served = ss
 }
 
-// maybeSealState runs the seal/serve/prune cycle on the loop goroutine:
-// when the cadence has elapsed and the machine's applied frontier moved
+// maybeSealState runs the seal/serve/prune cycle: when SealEvery has
+// elapsed on the server clock and the machine's applied frontier moved
 // since the last seal, pin a commit at the current tree, export and sign
 // it, hand it to the store as the next durable checkpoint, publish it on
 // the snapshot tier, and — with pruning enabled — cut journaled history
 // PruneKeepSeqs below the tips.
-func (n *Node) maybeSealState() {
-	sc := n.cfg.State
+func (r *Replica) maybeSealState() {
+	sc := r.cfg.State
 	if sc == nil {
 		return
 	}
-	if time.Since(n.lastSeal) < sc.sealEvery() {
+	now := r.srv.Now()
+	if now-r.lastSeal < sc.sealEvery() {
 		return
 	}
-	n.lastSeal = time.Now()
+	r.lastSeal = now
 	m := sc.Machine
-	if m.NextSlot() == 0 || m.NextSlot() == n.lastSealedSlot {
+	if m.NextSlot() == 0 || m.NextSlot() == r.lastSealedSlot {
 		// Nothing applied since the last seal — but the chains keep
 		// growing under an idle state, so keep cutting history, and keep
-		// the served base/horizon in step with the cut: a joiner installs
-		// exactly what we serve, and its delta pull can only resume from
-		// a horizon whose successors we still hold.
-		if n.maybePruneState() {
-			if cur := n.ServedSnapshot(); cur != nil {
-				n.setServed(&syncsvc.ServedSnapshot{
-					Signed:  cur.Signed,
-					Chunks:  cur.Chunks,
-					Base:    n.cfg.Store.Base(),
-					Horizon: n.cfg.Store.Horizon(),
-				})
+		// the served base/horizon in step with the cut.
+		if r.maybePruneState() {
+			if cur := r.ServedSnapshot(); cur != nil {
+				r.setServed(cur.Signed, cur.Chunks)
 			}
 		}
 		return
 	}
-	// Seal and export back-to-back on the loop goroutine: the tree
+	// Seal and export back-to-back on the owner's goroutine: the tree
 	// cannot move between the two, so the chunks match the signed root.
 	commit := m.Seal()
 	chunks := state.Export(m.Tree(), sc.chunkBytes())
-	n.lastSealedSlot = commit.Slot
-	n.cfg.Store.SetStateCheckpoint(&store.StateCheckpoint{
+	r.lastSealedSlot = commit.Slot
+	r.cfg.Store.SetStateCheckpoint(&store.StateCheckpoint{
 		Slot:   commit.Slot,
 		Root:   commit.Root,
 		Chunks: chunks,
 	})
-	n.maybePruneState()
+	r.maybePruneState()
 	// Publish after the prune so the served base/horizon reflect it.
-	n.setServed(&syncsvc.ServedSnapshot{
-		Signed:  state.SignCommit(commit, sc.Signer),
-		Chunks:  chunks,
-		Base:    n.cfg.Store.Base(),
-		Horizon: n.cfg.Store.Horizon(),
-	})
+	r.setServed(state.SignCommit(commit, sc.Signer), chunks)
 }
 
 // maybePruneState cuts journaled history PruneKeepSeqs below every
@@ -218,33 +214,33 @@ func (n *Node) maybeSealState() {
 // Reports whether the store's horizon actually advanced. Prune failure
 // is recorded, not fatal: the store stays valid at its old horizon
 // (PruneTo is crash-atomic) and the next seal retries.
-func (n *Node) maybePruneState() bool {
-	sc := n.cfg.State
-	if sc.PruneKeepSeqs == 0 {
+func (r *Replica) maybePruneState() bool {
+	keep, st := r.cfg.State.PruneKeepSeqs, r.cfg.Store
+	if keep == 0 {
 		return false
 	}
-	if n.cfg.Store.StateCheckpoint() == nil {
+	if st.StateCheckpoint() == nil {
 		// No sealed state journaled yet — a pruned store must always
 		// carry the checkpoint that stands in for the cut history, and
 		// PruneTo enforces exactly that. The idle-path prune can tick
 		// before the first seal; skip until one lands.
 		return false
 	}
-	current := n.cfg.Store.Horizon()
+	current := st.Horizon()
 	horizon := make(map[types.ServerID]uint64)
-	for builder, next := range n.tracker.Horizon() {
-		if next <= sc.PruneKeepSeqs {
+	for builder, next := range r.tracker.Horizon() {
+		if next <= keep {
 			continue
 		}
-		if h := next - sc.PruneKeepSeqs; h > current[builder] {
+		if h := next - keep; h > current[builder] {
 			horizon[builder] = h
 		}
 	}
 	if len(horizon) == 0 {
 		return false // nothing new to cut
 	}
-	_, err := n.cfg.Store.PruneTo(n.cfg.Server.DAG(), horizon)
-	n.recordErr(err)
+	_, err := st.PruneTo(r.srv.DAG(), horizon)
+	r.recordErr(err)
 	return err == nil
 }
 

@@ -68,24 +68,30 @@ func TestVerifiesPerAdmittedBlock(t *testing.T) {
 		roster, sigs, chain := countedChain(t, 40)
 		const held = 15
 		srv := newCountedServer(t, roster)
-		if err := srv.Restore(admitChain(t, roster, chain[:held])); err != nil {
+		// The replica core's follower driven by hand: its transport
+		// callbacks come home on a channel and run on this goroutine.
+		posted := make(chan func(), 4)
+		tr := &inProcTransport{handler: chainServer(chain)}
+		rep, err := node.NewReplica(node.Config{Server: srv, FollowEvery: time.Hour},
+			admitChain(t, roster, chain[:held]), tr, []types.ServerID{0}, func(fn func()) { posted <- fn })
+		if err != nil {
 			t.Fatal(err)
 		}
-		pull := syncsvc.DeltaIfBehind(srv.DAG(), nil, syncsvc.Watermarks(chain), 0)
-		if pull == nil {
-			t.Fatal("follower not behind a peer holding the longer chain")
+		rep.Poll()
+		for range 2 { // the watermark answer, then the settled delta pull
+			select {
+			case fn := <-posted:
+				fn()
+			case <-time.After(10 * time.Second):
+				t.Fatal("follow poll did not settle")
+			}
 		}
-		tr := &inProcTransport{handler: chainServer(chain)}
-		tr.Call(0, transport.ChanSync, pull.Request(), pull)
-		if !pull.Wait(10 * time.Second) {
-			t.Fatal("delta pull did not settle")
+		r := rep.FollowReport()
+		if r.LastErr != nil || rep.Err() != nil {
+			t.Fatalf("follow: %v, replica: %v", r.LastErr, rep.Err())
 		}
-		absorbed, absorbErr, streamErr := syncsvc.AbsorbPull(pull, srv.AbsorbVerified)
-		if absorbErr != nil || streamErr != nil {
-			t.Fatalf("absorb: %v, stream: %v", absorbErr, streamErr)
-		}
-		if absorbed != len(chain)-held || srv.DAG().Len() != len(chain) {
-			t.Fatalf("absorbed %d into a %d-block DAG, want %d of %d", absorbed, srv.DAG().Len(), len(chain)-held, len(chain))
+		if r.Deltas != 1 || r.Blocks != len(chain)-held || srv.DAG().Len() != len(chain) {
+			t.Fatalf("follow report %+v into a %d-block DAG, want one delta of %d of %d", r, srv.DAG().Len(), len(chain)-held, len(chain))
 		}
 		if v := sigs.Verified(); v != int64(len(chain)) {
 			t.Fatalf("admission plus follow verified %d signatures for %d blocks", v, len(chain))

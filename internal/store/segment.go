@@ -21,13 +21,12 @@ const (
 	segMagic   = "BDSTOR1\n"
 	headerSize = len(segMagic) + 1 // magic + kind byte
 
-	kindWAL  byte = 1
-	kindSnap byte = 2
-	// kindSnap2 is the extended snapshot segment (same .snap extension):
+	kindWAL byte = 1
+	// kindSnap2 is the one snapshot segment format (.snap extension):
 	// prune horizon, pruned-history base table, state commitment and its
-	// snapshot chunks, then the retained blocks. Written whenever the
-	// store carries a horizon or a state checkpoint; plain stores keep
-	// writing kindSnap, byte-compatible with every earlier release.
+	// snapshot chunks, then the retained blocks — a plain store writes an
+	// empty horizon, no base and no state. Kind 2, the retired
+	// blocks-only format, is refused as corrupt.
 	kindSnap2 byte = 3
 
 	// recHeaderSize frames one WAL record: length + CRC32.
@@ -131,7 +130,7 @@ func checkHeader(data []byte, path string) (byte, error) {
 		return 0, fmt.Errorf("%w: %s: bad header", ErrCorrupt, path)
 	}
 	kind := data[len(segMagic)]
-	if kind != kindWAL && kind != kindSnap && kind != kindSnap2 {
+	if kind != kindWAL && kind != kindSnap2 {
 		return 0, fmt.Errorf("%w: %s: unknown kind %d", ErrCorrupt, path, kind)
 	}
 	return kind, nil
@@ -254,12 +253,6 @@ func ScanDir(dir string) ([]*block.Block, error) {
 			return nil, err
 		}
 		switch kind {
-		case kindSnap:
-			bs, err := decodeSnapshot(data, sf.path)
-			if err != nil {
-				return nil, err
-			}
-			admit(bs)
 		case kindSnap2:
 			sv, err := decodeSnapshotV2(data, sf.path)
 			if err != nil {
@@ -269,96 +262,6 @@ func ScanDir(dir string) ([]*block.Block, error) {
 		case kindWAL:
 			admit(scanWAL(data).blocks)
 		}
-	}
-	return blocks, nil
-}
-
-// encodeSnapshot renders blocks (a topological order: every predecessor
-// that is itself in the snapshot appears earlier) as a snapshot segment,
-// header and CRC trailer included. Predecessor references are encoded as
-// uvarint indexes into the snapshot, shrinking each from 32 bytes to
-// typically 1–2.
-func encodeSnapshot(blocks []*block.Block) ([]byte, error) {
-	w := wire.NewWriter(headerSize + len(blocks)*128)
-	for _, c := range segHeader(kindSnap) {
-		w.Byte(c)
-	}
-	w.Uvarint(uint64(len(blocks)))
-	pos := make(map[block.Ref]int, len(blocks))
-	for i, b := range blocks {
-		w.Uint16(uint16(b.Builder))
-		w.Uvarint(b.Seq)
-		w.Uvarint(uint64(len(b.Preds)))
-		for _, p := range b.Preds {
-			j, ok := pos[p]
-			if !ok {
-				return nil, fmt.Errorf("store: snapshot block %v references %v outside the snapshot", b.Ref(), p)
-			}
-			w.Uvarint(uint64(j))
-		}
-		w.Uvarint(uint64(len(b.Requests)))
-		for _, rq := range b.Requests {
-			w.String(string(rq.Label))
-			w.VarBytes(rq.Data)
-		}
-		w.VarBytes(b.Sig)
-		pos[b.Ref()] = i
-	}
-	body := w.Bytes()
-	var trailer [4]byte
-	binary.BigEndian.PutUint32(trailer[:], crc32.ChecksumIEEE(body[headerSize:]))
-	return append(body, trailer[:]...), nil
-}
-
-// decodeSnapshot inverts encodeSnapshot. Each block is reconstructed
-// through the canonical wire encoding, so ref(B) is re-derived from the
-// decoded fields and signatures verify exactly as for a WAL block.
-func decodeSnapshot(data []byte, path string) ([]*block.Block, error) {
-	if len(data) < headerSize+4 {
-		return nil, fmt.Errorf("%w: %s: snapshot too short", ErrCorrupt, path)
-	}
-	body, trailer := data[headerSize:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("%w: %s: snapshot checksum mismatch", ErrCorrupt, path)
-	}
-	r := wire.NewReader(body)
-	count := r.Count(1 << 31)
-	blocks := make([]*block.Block, 0, count)
-	for i := 0; i < count; i++ {
-		builder := types.ServerID(r.Uint16())
-		seq := r.Uvarint()
-		nPreds := r.Count(block.MaxPreds)
-		preds := make([]block.Ref, 0, nPreds)
-		for k := 0; k < nPreds; k++ {
-			j := r.Uvarint()
-			if r.Err() != nil {
-				break
-			}
-			if j >= uint64(i) {
-				return nil, fmt.Errorf("%w: %s: block %d references forward index %d", ErrCorrupt, path, i, j)
-			}
-			preds = append(preds, blocks[j].Ref())
-		}
-		nReqs := r.Count(block.MaxRequests)
-		reqs := make([]block.Request, 0, nReqs)
-		for k := 0; k < nReqs; k++ {
-			reqs = append(reqs, block.Request{
-				Label: types.Label(r.String()),
-				Data:  r.VarBytes(),
-			})
-		}
-		sig := r.VarBytes()
-		if r.Err() != nil {
-			break
-		}
-		b, err := reassemble(builder, seq, preds, reqs, sig)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: block %d: %v", ErrCorrupt, path, i, err)
-		}
-		blocks = append(blocks, b)
-	}
-	if err := r.Close(); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
 	}
 	return blocks, nil
 }

@@ -40,7 +40,7 @@ const (
 	maxStateChunks    = 1 << 20
 )
 
-// encodeSnapshotV2 renders an extended snapshot segment: horizon table,
+// encodeSnapshotV2 renders a snapshot segment: horizon table,
 // base table, optional state checkpoint, then the retained blocks with
 // predecessor references as uvarint indexes into base ∪ blocks (base
 // entries occupy indexes 0..len(base)-1). Every retained block's
@@ -107,8 +107,10 @@ func encodeSnapshotV2(blocks []*block.Block, base []dag.Base, horizon map[types.
 	return append(body, trailer[:]...), nil
 }
 
-// decodeSnapshotV2 inverts encodeSnapshotV2. Blocks are reconstructed
-// through the canonical wire encoding, exactly as for kindSnap.
+// decodeSnapshotV2 inverts encodeSnapshotV2. Each block is reconstructed
+// through the canonical wire encoding (reassemble), so ref(B) is
+// re-derived from the decoded fields and signatures verify exactly as for
+// a WAL block.
 func decodeSnapshotV2(data []byte, path string) (*snapV2, error) {
 	if len(data) < headerSize+4 {
 		return nil, fmt.Errorf("%w: %s: snapshot too short", ErrCorrupt, path)

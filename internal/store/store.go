@@ -292,19 +292,6 @@ func (s *Store) recover() error {
 		}
 		s.report.Segments++
 		switch kind {
-		case kindSnap:
-			if !sf.snap {
-				return fmt.Errorf("%w: %s: kind/extension mismatch", ErrCorrupt, sf.path)
-			}
-			blocks, err := decodeSnapshot(data, sf.path)
-			if err != nil {
-				return err
-			}
-			if err := s.admit(d, blocks); err != nil {
-				return err
-			}
-			s.report.HasSnapshot = true
-			s.report.SnapshotIndex = sf.index
 		case kindSnap2:
 			if !sf.snap {
 				return fmt.Errorf("%w: %s: kind/extension mismatch", ErrCorrupt, sf.path)
@@ -828,23 +815,15 @@ func (s *Store) Checkpoint(d *dag.DAG) (CompactStats, error) {
 	}
 	stats.BytesBefore = before
 
-	blocks := d.Blocks()
-	var enc []byte
-	var base []dag.Base
-	if len(s.horizon) == 0 && s.stateCkpt == nil {
-		// Plain store: keep writing the v1 format, byte-compatible with
-		// every earlier release.
-		enc, err = encodeSnapshot(blocks)
-	} else {
-		// The horizon is sticky: filter d at write time, so a checkpoint
-		// from a DAG that still holds full history in memory (prune while
-		// running) cannot resurrect segments PruneTo already deleted.
-		blocks, base, err = pruneSet(d, s.horizon)
-		if err != nil {
-			return stats, err
-		}
-		enc, err = encodeSnapshotV2(blocks, base, s.horizon, s.stateCkpt)
+	// The horizon is sticky: filter d at write time, so a checkpoint from a
+	// DAG that still holds full history in memory (prune while running)
+	// cannot resurrect segments PruneTo already deleted. A plain store has
+	// no horizon, so every block of d is kept.
+	blocks, base, err := pruneSet(d, s.horizon)
+	if err != nil {
+		return stats, err
 	}
+	enc, err := encodeSnapshotV2(blocks, base, s.horizon, s.stateCkpt)
 	if err != nil {
 		return stats, err
 	}

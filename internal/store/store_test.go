@@ -355,6 +355,57 @@ func TestCorruptEarlySegmentFails(t *testing.T) {
 	}
 }
 
+// TestRetiredSnapshotKindRefused: stores keep one snapshot segment
+// format. A plain store's checkpoint writes it (kind 3: empty horizon,
+// no base, no state), and a segment whose header carries kind 2 — the
+// retired blocks-only format — is refused as corrupt by Open and ScanDir.
+func TestRetiredSnapshotKindRefused(t *testing.T) {
+	roster, blocks := chain(t, 10)
+	dir := t.TempDir()
+	st := openStore(t, dir, roster, store.Options{})
+	appendAll(t, st, blocks)
+	d := dag.New(roster)
+	if _, err := d.Admit(blocks); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Checkpoint(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshot segments %v (err %v), want one", snaps, err)
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const kindAt = len("BDSTOR1\n")
+	if data[kindAt] != 3 {
+		t.Fatalf("plain checkpoint wrote snapshot kind %d, want 3", data[kindAt])
+	}
+	reopened := openStore(t, dir, roster, store.Options{})
+	if !sameRefs(reopened.RecoveredBlocks(), blocks) {
+		t.Fatalf("plain snapshot recovered %d blocks, want %d", len(reopened.RecoveredBlocks()), len(blocks))
+	}
+	if err := reopened.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	data[kindAt] = 2
+	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Open(dir, store.Options{Roster: roster}); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("Open on a kind-2 snapshot: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := store.ScanDir(dir); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("ScanDir on a kind-2 snapshot: err = %v, want ErrCorrupt", err)
+	}
+}
+
 func TestCheckpointCompaction(t *testing.T) {
 	roster, blocks := crossDAG(t, 30)
 	dir := t.TempDir()

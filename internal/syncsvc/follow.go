@@ -10,13 +10,10 @@ package syncsvc
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"slices"
 	"sync"
-	"time"
 
 	"blockdag/internal/block"
-	"blockdag/internal/dag"
 	"blockdag/internal/transport"
 	"blockdag/internal/types"
 	"blockdag/internal/wire"
@@ -50,23 +47,6 @@ func DecodeWatermarkFrame(frame []byte) ([]Watermark, error) {
 	return wms, nil
 }
 
-// Horizon returns, per builder, the maximum held sequence number plus
-// one — over every held block, forked chains included. This is the
-// vector Behind compares a peer's claims against: unlike Watermarks it
-// never omits an equivocating builder, so a follower that already holds
-// a forked builder's blocks is not re-pulled every poll. (Equivocation
-// variants beyond the horizon cannot be expressed in either vector;
-// their repair rides the FWD path, which stays armed regardless.)
-func Horizon(blocks iter.Seq[*block.Block]) map[types.ServerID]uint64 {
-	horizon := make(map[types.ServerID]uint64)
-	for b := range blocks {
-		if next := b.Seq + 1; next > horizon[b.Builder] {
-			horizon[b.Builder] = next
-		}
-	}
-	return horizon
-}
-
 // Behind reports whether a peer's advertised watermark vector names any
 // block outside the local horizon — the trigger for a delta pull. A
 // peer can lie here in either direction: claiming too little makes the
@@ -87,13 +67,9 @@ func Behind(local map[types.ServerID]uint64, peer []Watermark) bool {
 // transport.CallSink that collects the peer's vector. Safe for
 // concurrent sink invocation and inspection.
 type WatermarkQuery struct {
-	mu     sync.Mutex
-	wms    []Watermark
-	got    bool
-	err    error
-	done   bool
-	notify chan struct{}
-	onDone func([]Watermark, error)
+	call
+	wms []Watermark
+	got bool
 }
 
 var _ transport.CallSink = (*WatermarkQuery)(nil)
@@ -103,67 +79,36 @@ var _ transport.CallSink = (*WatermarkQuery)(nil)
 // goroutine (or the simulator's event loop), so it must either be safe
 // there or hand off to the owning loop, as the node runtime does.
 func NewWatermarkQuery(onDone func([]Watermark, error)) *WatermarkQuery {
-	return &WatermarkQuery{notify: make(chan struct{}), onDone: onDone}
+	q := &WatermarkQuery{call: newCall()}
+	if onDone != nil {
+		q.then = func() { onDone(q.Result()) }
+	}
+	return q
 }
 
 // OnFrame implements transport.CallSink.
 func (q *WatermarkQuery) OnFrame(frame []byte) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.done || q.err != nil {
-		return
-	}
-	if q.got {
-		q.err = errors.New("syncsvc: second frame on a watermark query")
-		return
-	}
-	wms, err := DecodeWatermarkFrame(frame)
-	if err != nil {
-		q.err = err
-		return
-	}
-	q.wms, q.got = wms, true
+	q.frame(func() error {
+		if q.got {
+			return errors.New("syncsvc: second frame on a watermark query")
+		}
+		wms, err := DecodeWatermarkFrame(frame)
+		if err != nil {
+			return err
+		}
+		q.wms, q.got = wms, true
+		return nil
+	})
 }
 
 // OnDone implements transport.CallSink.
 func (q *WatermarkQuery) OnDone(err error) {
-	q.mu.Lock()
-	if q.done {
-		q.mu.Unlock()
-		return
-	}
-	if q.err == nil && err != nil {
-		q.err = normalizeRemoteErr(err)
-	}
-	if q.err == nil && !q.got {
-		q.err = errors.New("syncsvc: watermark query ended without a vector")
-	}
-	q.done = true
-	wms, qerr, onDone := q.wms, q.err, q.onDone
-	close(q.notify)
-	q.mu.Unlock()
-	if onDone != nil {
-		onDone(wms, qerr)
-	}
-}
-
-// Done reports whether the query has terminated — the condition
-// simulator-driven clients run the network until.
-func (q *WatermarkQuery) Done() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.done
-}
-
-// Wait blocks until the query terminates or the timeout passes,
-// reporting false on timeout — for real-transport clients.
-func (q *WatermarkQuery) Wait(timeout time.Duration) bool {
-	select {
-	case <-q.notify:
-		return true
-	case <-time.After(timeout):
-		return false
-	}
+	q.settle(err, func() error {
+		if !q.got {
+			return errors.New("syncsvc: watermark query ended without a vector")
+		}
+		return nil
+	})
 }
 
 // Result returns the peer's vector and the query's terminal error.
@@ -171,71 +116,6 @@ func (q *WatermarkQuery) Result() ([]Watermark, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.wms, q.err
-}
-
-// DeltaIfBehind is the decision core of one follow poll, shared by the
-// node runtime and the cluster simulator so the two drivers cannot
-// diverge: given the peer's advertised vector, return nil when the peer
-// holds nothing outside the local horizon, otherwise a delta pull that
-// extends a clone of the local DAG (dag.Clone is structural only, so no
-// held block is verified again; the live DAG stays untouched until
-// AbsorbPull). horizon may be nil, in which case it is computed from the
-// DAG — pass a tracker-maintained horizon to keep the in-sync fast path
-// O(#builders) instead of O(DAG).
-func DeltaIfBehind(d *dag.DAG, horizon map[types.ServerID]uint64, peer []Watermark, maxBlocks int) *Pull {
-	if horizon == nil {
-		horizon = Horizon(d.All())
-		// A pruned DAG holds nothing below its base horizon, but is not
-		// behind there either: the certified snapshot covers it.
-		for builder, h := range d.BaseHorizon() {
-			if h > horizon[builder] {
-				horizon[builder] = h
-			}
-		}
-	}
-	if !Behind(horizon, peer) {
-		return nil
-	}
-	return NewPull(d.Clone(), maxBlocks)
-}
-
-// AbsorbPull feeds every validated block of a settled pull to absorb
-// (the server's verified-insert entry point), in stream order, stopping
-// at the first absorb error. The two returned errors are distinct
-// failures: absorbErr is local trouble (persist or invariant, already
-// latched in the server's health), streamErr is the pull's terminal
-// error (the peer misbehaved or the link broke) — the absorbed prefix
-// is genuine either way.
-func AbsorbPull(p *Pull, absorb func(*block.Block) error) (absorbed int, absorbErr, streamErr error) {
-	blocks, streamErr := p.Result()
-	for _, b := range blocks {
-		if absorbErr = absorb(b); absorbErr != nil {
-			break
-		}
-		absorbed++
-	}
-	return absorbed, absorbErr, streamErr
-}
-
-// PullDone wraps a Pull as the sink for its own call, running fn once
-// the stream settles (after the Pull recorded its terminal state). Both
-// follower drivers — the node runtime handing results back to its loop
-// and the cluster simulator absorbing on the event loop — hang their
-// continuation here.
-func PullDone(p *Pull, fn func()) transport.CallSink {
-	return &pullDoneSink{pull: p, fn: fn}
-}
-
-type pullDoneSink struct {
-	pull *Pull
-	fn   func()
-}
-
-func (s *pullDoneSink) OnFrame(frame []byte) { s.pull.OnFrame(frame) }
-
-func (s *pullDoneSink) OnDone(err error) {
-	s.pull.OnDone(err)
-	s.fn()
 }
 
 // WatermarkTracker maintains a server's own watermark vector
@@ -308,9 +188,12 @@ func (t *WatermarkTracker) Observe(b *block.Block) {
 }
 
 // Horizon returns the tracker's per-builder horizon — next sequence
-// number per builder, forked builders included — the O(#builders)
-// equivalent of Horizon over the tracked block set, for the follower's
-// Behind check.
+// number per builder, forked builders included, so a follower that
+// already holds a forked builder's blocks is not re-pulled every poll —
+// the vector the follower's Behind check compares a peer's claims
+// against. (Equivocation variants beyond the horizon cannot be expressed
+// in either vector; their repair rides the FWD path, which stays armed
+// regardless.)
 func (t *WatermarkTracker) Horizon() map[types.ServerID]uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -138,7 +138,8 @@ func (f handlerFunc) ServeCall(from types.ServerID, req []byte, st transport.Ser
 }
 
 // TestHorizonAndBehind: the pull trigger fires exactly when a peer
-// advertises blocks outside the local horizon.
+// advertises blocks outside the local horizon (a tracker's, the one the
+// follower compares against).
 func TestHorizonAndBehind(t *testing.T) {
 	roster, blocks := buildChain(t, 4) // builder 0, seqs 0..3
 	d := dag.New(roster)
@@ -147,7 +148,11 @@ func TestHorizonAndBehind(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	local := syncsvc.Horizon(d.All())
+	tr := syncsvc.NewWatermarkTracker()
+	for b := range d.All() {
+		tr.Observe(b)
+	}
+	local := tr.Horizon()
 	if local[0] != 4 {
 		t.Fatalf("horizon = %v, want builder 0 at 4", local)
 	}

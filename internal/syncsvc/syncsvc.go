@@ -57,7 +57,6 @@ import (
 	"fmt"
 	"iter"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -340,9 +339,9 @@ type Server struct {
 	// memory-backed deployments. Called once per request.
 	Source func() ([]*block.Block, error)
 	// Watermarks, if non-nil, answers watermark-exchange queries without
-	// touching the block source — the cheap live path (package node wires
-	// its incrementally maintained WatermarkTracker; the cluster
-	// simulator reads the slot's DAG). When the field is nil, or the
+	// touching the block source — the cheap live path (node.Replica's
+	// incrementally maintained WatermarkTracker, in the node runtime and
+	// the cluster simulator alike). When the field is nil, or the
 	// function returns a nil slice (meaning "no live source yet", as a
 	// late-bound runtime does during startup — distinct from an empty,
 	// non-nil vector), the vector is computed from the block source,
@@ -607,16 +606,13 @@ func (s *Server) load() ([]*block.Block, error) {
 // connection goroutine); the DAG belongs to the pull until it settles or
 // is abandoned.
 type Pull struct {
-	mu       sync.Mutex
+	call
 	dag      *dag.DAG
 	start    int // dag.Len() at creation: the pull's blocks are the suffix from here
 	limit    int
 	streamed uint64 // blocks decoded off the stream (duplicates included)
 	claimed  uint64 // server's frameDone count
 	sawDone  bool   // saw a frameDone frame
-	err      error
-	done     bool
-	notify   chan struct{}
 }
 
 var _ transport.CallSink = (*Pull)(nil)
@@ -631,8 +627,13 @@ func NewPull(d *dag.DAG, maxBlocks int) *Pull {
 	if maxBlocks <= 0 {
 		maxBlocks = DefaultMaxBlocks
 	}
-	return &Pull{dag: d, start: d.Len(), limit: maxBlocks, notify: make(chan struct{})}
+	return &Pull{call: newCall(), dag: d, start: d.Len(), limit: maxBlocks}
 }
+
+// Then registers fn to run once the stream settles, after the pull has
+// recorded its terminal state — the hook a runtime uses to bring the
+// result home to its own goroutine. Call it before issuing the call.
+func (p *Pull) Then(fn func()) { p.then = fn }
 
 // Request encodes the catch-up request matching the DAG's blocks (and its
 // base horizon, for a pull resuming above pruned history).
@@ -643,16 +644,7 @@ func (p *Pull) Request() []byte {
 }
 
 // OnFrame implements transport.CallSink: decode and admit one batch.
-func (p *Pull) OnFrame(frame []byte) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.done || p.err != nil {
-		return // already failed or abandoned; drain silently
-	}
-	if err := p.consume(frame); err != nil {
-		p.err = err
-	}
-}
+func (p *Pull) OnFrame(frame []byte) { p.frame(func() error { return p.consume(frame) }) }
 
 // consume processes one stream frame under the lock.
 func (p *Pull) consume(frame []byte) error {
@@ -714,63 +706,23 @@ func (p *Pull) abandon() {
 	p.done = true
 }
 
-// normalizeRemoteErr re-sentinels errors that crossed a transport as
-// text: tcpnet conveys a handler's Close error to the caller as a string
-// frame, so errors.Is(err, ErrThrottled) — the signal to back off and
-// try another peer — must survive the round trip.
-func normalizeRemoteErr(err error) error {
-	if err == nil || errors.Is(err, ErrThrottled) {
-		return err
-	}
-	if strings.Contains(err.Error(), ErrThrottled.Error()) {
-		return fmt.Errorf("%w (remote)", ErrThrottled)
-	}
-	return err
-}
-
 // OnDone implements transport.CallSink.
 func (p *Pull) OnDone(err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.done {
-		return
-	}
-	if p.err == nil && err != nil {
-		p.err = normalizeRemoteErr(err)
-	}
-	if p.err == nil && !p.sawDone {
-		// A clean transport close without the protocol's own done
-		// frame means the server (or something in between) truncated
-		// the stream.
-		p.err = errors.New("syncsvc: stream ended without done frame")
-	}
-	if p.err == nil && p.claimed != p.streamed {
-		// The summary exists so a quietly truncating server is caught:
-		// claiming more (or fewer) blocks than it actually streamed is
-		// not a clean sync, and the caller should try another peer.
-		p.err = fmt.Errorf("syncsvc: server claimed %d blocks, streamed %d", p.claimed, p.streamed)
-	}
-	p.done = true
-	close(p.notify)
-}
-
-// Done reports whether the stream has terminated (cleanly or not) — the
-// condition simulator-driven clients run the network until.
-func (p *Pull) Done() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.done
-}
-
-// Wait blocks until the stream terminates or the timeout passes,
-// reporting false on timeout — for real-transport clients.
-func (p *Pull) Wait(timeout time.Duration) bool {
-	select {
-	case <-p.notify:
-		return true
-	case <-time.After(timeout):
-		return false
-	}
+	p.settle(err, func() error {
+		if !p.sawDone {
+			// A clean transport close without the protocol's own done
+			// frame means the server (or something in between) truncated
+			// the stream.
+			return errors.New("syncsvc: stream ended without done frame")
+		}
+		if p.claimed != p.streamed {
+			// The summary exists so a quietly truncating server is caught:
+			// claiming more (or fewer) blocks than it actually streamed is
+			// not a clean sync, and the caller should try another peer.
+			return fmt.Errorf("syncsvc: server claimed %d blocks, streamed %d", p.claimed, p.streamed)
+		}
+		return nil
+	})
 }
 
 // Result returns the blocks the pull admitted so far (the DAG's suffix
